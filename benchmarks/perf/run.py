@@ -8,9 +8,8 @@ perf harness lives next to the figure benchmarks.  Usage::
 ``--workers N`` appends workers=1 vs workers=N scaling rows for the
 sharded ensemble engine (:mod:`repro.parallel`) to the report; every run
 records the engine's dispatch-overhead rows (shared-memory vs pickled
-traces, persistent pool vs fresh fork per call, pipelined vs sync
-streaming ingest, joint vs per-scale estimator shard layout, scenario
-campaign store + manifest vs bare cell evaluation).
+traces, supervised vs plain dispatch, pipelined vs sync streaming
+ingest, scenario campaign store + manifest vs bare cell evaluation).
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ Usage::
 
     python -m repro.experiments list
     python -m repro.experiments run fig18 [--scale 0.5] [--seed 1] [--workers 4]
-    python -m repro.experiments run all   [--scale 0.25] [--runtime persistent]
+    python -m repro.experiments run all   [--scale 0.25] [--workers 2]
     python -m repro.experiments run fig18 [--kernels on] [--telemetry on]
     python -m repro.experiments bench [--quick] [--workers 4] [--output BENCH_PR10.json]
     python -m repro.experiments runtime
@@ -16,11 +16,9 @@ Usage::
     python -m repro.experiments telemetry {summary,spans,timeline} --campaign NAME
 
 ``--workers`` wins over the ``REPRO_WORKERS`` environment variable,
-which sets the session default; results never depend on either.
-``--runtime persistent`` (or ``REPRO_RUNTIME=persistent``) keeps one
-worker pool alive across every figure/campaign cell instead of forking
-per parallel region — same outputs, less fixed overhead for many-cell
-sweeps.  ``--kernels on`` (or ``REPRO_KERNELS=on``) enables the
+which sets the session default; results never depend on either.  One
+worker pool, forked on first need, serves every figure/campaign cell of
+a run.  ``--kernels on`` (or ``REPRO_KERNELS=on``) enables the
 optional compiled BSS replay kernel — bit-identical results, faster
 replay tails when numba is installed, silently pure-NumPy when it is
 not.  ``--schedule`` (or ``REPRO_SCHEDULE``) picks where parallelism
@@ -82,12 +80,6 @@ def main(argv=None) -> int:
                         help="shard ensembles over N worker processes "
                              "(results are identical for any N; overrides "
                              "the REPRO_WORKERS env default)")
-    runner.add_argument("--runtime", choices=("persistent", "fresh"),
-                        default=None,
-                        help="'persistent' reuses one worker pool across "
-                             "every figure (amortizes fork); 'fresh' forks "
-                             "per parallel region.  Results are identical; "
-                             "default comes from REPRO_RUNTIME (else fresh)")
     runner.add_argument("--kernels", choices=("on", "off"), default=None,
                         help="enable the optional compiled BSS replay "
                              "kernel (bit-identical results; pure NumPy "
@@ -158,10 +150,6 @@ def main(argv=None) -> int:
     scen_run.add_argument("--workers", type=int, default=None,
                           help="shard every cell ensemble over N workers "
                                "(results identical for any N)")
-    scen_run.add_argument("--runtime", choices=("persistent", "fresh"),
-                          default=None,
-                          help="worker-pool lifetime across cells (default "
-                               "from REPRO_RUNTIME, else fresh)")
     scen_run.add_argument("--kernels", choices=("on", "off"), default=None,
                           help="compiled BSS replay kernel tier (results "
                                "identical; default from REPRO_KERNELS)")
@@ -230,11 +218,7 @@ def main(argv=None) -> int:
         return _telemetry_main(args)
 
     if args.command == "bench":
-        import contextlib
-
-        import repro.obs as obs
         from repro.experiments.bench import main as bench_main
-        from repro.kernels import kernels as kernels_scope
 
         bench_argv = []
         if args.quick:
@@ -245,29 +229,20 @@ def main(argv=None) -> int:
             bench_argv.extend(["--seed", str(args.seed)])
         if args.workers is not None:
             bench_argv.extend(["--workers", str(args.workers)])
-        scope = (
-            kernels_scope(args.kernels == "on") if args.kernels is not None
-            else contextlib.nullcontext()
-        )
-        telemetry_scope = (
-            obs.telemetry(args.telemetry == "on")
-            if args.telemetry is not None else contextlib.nullcontext()
-        )
-        with scope, telemetry_scope:
+        with execution_scope(kernels=_on_off(args.kernels),
+                             telemetry=_on_off(args.telemetry)):
             return bench_main(bench_argv)
 
     if args.command == "scenarios":
         return _scenarios_main(args)
 
     names = available_experiments() if args.name == "all" else [args.name]
-    # A persistent scope keeps one pool alive across *all* requested
-    # figures — the fork cost is paid once per session, not per
-    # figure (and not per panel cell).  Outputs are identical.
-    kernels = None if args.kernels is None else args.kernels == "on"
-    telemetry = None if args.telemetry is None else args.telemetry == "on"
-    with execution_scope(workers=args.workers, runtime=args.runtime,
-                         kernels=kernels, schedule=args.schedule,
-                         telemetry=telemetry):
+    # One scope keeps one pool alive across *all* requested figures —
+    # the fork cost is paid once per session, not per figure (and not
+    # per panel cell).  Outputs are identical.
+    with execution_scope(workers=args.workers, kernels=_on_off(args.kernels),
+                         schedule=args.schedule,
+                         telemetry=_on_off(args.telemetry)):
         for name in names:
             start = time.perf_counter()
             panels = run_experiment(name, scale=args.scale, seed=args.seed)
@@ -277,6 +252,11 @@ def main(argv=None) -> int:
                 print()
             print(f"[{name}] completed in {elapsed:.1f}s\n")
     return 0
+
+
+def _on_off(flag: str | None) -> bool | None:
+    """An ``on``/``off`` flag as a bool; None (unset) defers to the env."""
+    return None if flag is None else flag == "on"
 
 
 def _runtime_main() -> int:
@@ -297,33 +277,24 @@ def _runtime_main() -> int:
         get_default_schedule,
         get_default_workers,
         pool_start_method,
-        prefetch_backend_from_env,
         schedule_provenance,
         sharing_enabled,
         suggested_workers,
         workers_provenance,
     )
-    from repro.parallel.runtime import runtime_mode_from_env
 
     def _env(var: str) -> str:
         return f"({var}={os.environ.get(var, 'unset')})"
-
-    def _env_source(var: str) -> str:
-        return "env" if os.environ.get(var) is not None else "default"
 
     print(f"cpu_count:          {os.cpu_count()}")
     print(f"suggested_workers:  {suggested_workers()}")
     print(f"pool_start_method:  {pool_start_method()}")
     print(f"default_workers:    {get_default_workers()} "
           f"[{workers_provenance()}] {_env('REPRO_WORKERS')}")
-    print(f"runtime_mode:       {runtime_mode_from_env()} "
-          f"[{_env_source('REPRO_RUNTIME')}] {_env('REPRO_RUNTIME')}")
     print(f"schedule:           {get_default_schedule()} "
           f"[{schedule_provenance()}] {_env('REPRO_SCHEDULE')}")
     print(f"trace_sharing:      {'on' if sharing_enabled() else 'off'} "
           f"[default]")
-    print(f"prefetch_backend:   {prefetch_backend_from_env()} "
-          f"[{_env_source('REPRO_PREFETCH')}] {_env('REPRO_PREFETCH')}")
     print(f"kernels:            {'on' if kernels_enabled() else 'off'} "
           f"[{kernels_provenance()}] {_env('REPRO_KERNELS')}, "
           f"numba={'present' if numba_available() else 'absent'}")
@@ -409,8 +380,6 @@ def _scenarios_main(args) -> int:
         fault_plan(args.faults) if args.faults is not None
         else contextlib.nullcontext()
     )
-    kernels = None if args.kernels is None else args.kernels == "on"
-    telemetry = None if args.telemetry is None else args.telemetry == "on"
     if args.profile is not None:
         import repro.obs as obs
 
@@ -420,10 +389,9 @@ def _scenarios_main(args) -> int:
     start = time.perf_counter()
     with faults_scope, profile_scope, \
             execution_scope(workers=args.workers,
-                            runtime=args.runtime,
-                            kernels=kernels,
+                            kernels=_on_off(args.kernels),
                             schedule=args.schedule,
-                            telemetry=telemetry):
+                            telemetry=_on_off(args.telemetry)):
         summary = run_campaign(
             args.names or None,
             campaign=campaign,
@@ -444,8 +412,13 @@ def _scenarios_main(args) -> int:
 
 
 if __name__ == "__main__":
+    from repro.errors import ReproError
+
     try:
         sys.exit(main())
+    except ReproError as exc:  # a user error: one line, not a traceback
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(2)
     except BrokenPipeError:  # e.g. `... | head`: not an error of ours
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         sys.exit(0)

@@ -19,22 +19,22 @@ times the sharded ensemble engine (:mod:`repro.parallel`) at
 ``workers=N`` against the identical ``workers=1`` computation and
 records the scaling rows in the report.  Every run also records the
 engine's dispatch-overhead comparisons: zero-copy shared traces vs
-PR 2's pickled copies, the persistent pool runtime vs a fresh fork per
-call, fault-supervised dispatch vs the plain-starmap fast path,
-pipelined vs synchronous streaming ingest, joint vs per-scale
-estimator shard layouts, the scenario campaign engine's store +
+PR 2's pickled copies, fault-supervised dispatch vs the plain-starmap
+fast path, pipelined vs synchronous streaming ingest, the scenario
+campaign engine's store +
 manifest overhead against bare cell evaluation, and the campaign cell
 scheduler (``schedule="cells"``) against the serial campaign loop.  The
 ``ingest_throughput`` family times the native-speed tier: block CSV
-decoding vs the per-line reference parser, the binary format vs CSV,
-and process vs thread vs no prefetch — these rows carry ``mb_per_s``
-and ``packets_per_s`` alongside the speedup.  When numba is installed
+decoding vs the per-line reference parser and the binary format vs
+CSV — these rows carry ``mb_per_s`` and ``packets_per_s`` alongside
+the speedup.  When numba is installed
 a ``bss_replay_kernel`` row times the compiled replay tail against the
 pure-NumPy path (bit-identical results).  The JSON header carries
 machine metadata (CPU count, platform, pool start method) so
 cross-machine ``BENCH_*`` comparisons are interpretable — on a
 single-core container every parallel/prefetch row is an overhead
-floor, not a win.
+floor, not a win.  Every parallel row runs on one session worker pool
+(:mod:`repro.parallel.runtime`), as the harness entry points do.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ from repro.parallel.executor import (
     trace_sharing,
 )
 from repro.kernels import kernels, numba_available
-from repro.parallel.runtime import pool_runtime
+from repro.parallel.runtime import ensure_runtime
 from repro.parallel.streaming import streamed_trace_size_moments
 from repro.queueing.simulation import (
     _reference_tail_probabilities,
@@ -332,32 +332,6 @@ def run_benchmarks(*, quick: bool = False, seed: int = BENCH_SEED, workers: int 
             repeats=repeats, workers=n_workers,
         ))
 
-    # --- persistent pool runtime: amortized fork across a many-call sweep
-    # PR 4's tentpole: a figure sweep is many small parallel calls, and
-    # with traces zero-copy the fixed cost left is forking a pool per
-    # call.  The 'vectorized' side runs the sweep inside pool_runtime()
-    # (one fork, reused across every call and repeat); the 'reference'
-    # side is the fresh-pool-per-call PR 3 path.  Results are
-    # bit-identical; workers=1 never creates a pool on either side, so
-    # its speedup ~1 is the control.
-    sweep_series = fgn_trace(1 << 15 if quick else 1 << 17, seed + 3).values
-    sweep_sizes = default_window_sizes(sweep_series.size)
-    n_sweep_calls = 4 if quick else 8
-
-    def _sweep(n_workers: int):
-        for __ in range(n_sweep_calls):
-            parallel_rs_statistics(sweep_series, sweep_sizes, workers=n_workers)
-
-    for n_workers in sorted({1, workers}):
-        with pool_runtime():
-            reused_s = _best_of(lambda: _sweep(n_workers), repeats)
-        fresh_s = _best_of(lambda: _sweep(n_workers), repeats)
-        results.append(BenchResult(
-            name=f"pool_reuse_vs_fork_per_call_w{n_workers}",
-            n=sweep_series.size, vectorized_s=reused_s, reference_s=fresh_s,
-            workers=n_workers,
-        ))
-
     # --- fault-path overhead: supervised dispatch vs plain starmap -------
     # PR 6's supervision (async per-shard dispatch + worker watchdog +
     # retry bookkeeping) is the default pool path; its fault-free cost
@@ -409,10 +383,8 @@ def run_benchmarks(*, quick: bool = False, seed: int = BENCH_SEED, workers: int 
         # Block CSV decoding vs the per-line reference parser on the
         # same on-disk trace (identical chunks, identical boundaries —
         # pinned by tests/test_trace_block_decode.py), the compact
-        # binary format for comparison, and the prefetch backends
-        # driving the same moment fold.  Throughput fields come from
-        # the fast side; on a single-core machine the prefetch rows are
-        # overhead floors, not wins (see the header's machine metadata).
+        # binary format for comparison.  Throughput fields come from
+        # the fast side.
         csv_path = Path(tmp) / "ingest.csv"
         write_csv(packet_trace, csv_path)
         csv_bytes = csv_path.stat().st_size
@@ -438,41 +410,6 @@ def run_benchmarks(*, quick: bool = False, seed: int = BENCH_SEED, workers: int 
             lambda: _drain(iter_trace_chunks(csv_path,
                                              chunk_size=chunk_packets)),
             repeats=repeats, bytes_processed=rpt_bytes,
-        ))
-        results.append(_time_pair(
-            "ingest_throughput_prefetch_process_vs_thread", n_packets,
-            lambda: streamed_trace_size_moments(
-                csv_path, chunk_size=chunk_packets, backend="process"),
-            lambda: streamed_trace_size_moments(
-                csv_path, chunk_size=chunk_packets, backend="thread"),
-            repeats=repeats, bytes_processed=csv_bytes,
-        ))
-        results.append(_time_pair(
-            "ingest_throughput_prefetch_process_vs_off", n_packets,
-            lambda: streamed_trace_size_moments(
-                csv_path, chunk_size=chunk_packets, backend="process"),
-            lambda: streamed_trace_size_moments(
-                csv_path, chunk_size=chunk_packets, pipelined=False),
-            repeats=repeats, bytes_processed=csv_bytes,
-        ))
-
-    # --- estimator shard layout: joint (scale x window) vs per-scale
-    # A many-scale R/S grid whose largest scales hold only a couple of
-    # windows: the per-scale layout starves most shards there, the joint
-    # plan cuts one global cost line into equal-cost segments.  On one
-    # core both layouts do identical work (~1.0x); the row records the
-    # balance win on multi-core machines.  workers=1 is the control.
-    grid_sizes = np.unique(
-        np.geomspace(8, est.size // 2, 48).astype(np.int64)
-    )
-    for n_workers in sorted({1, workers}):
-        results.append(_time_pair(
-            f"estimator_shard_joint_vs_per_scale_w{n_workers}", est.size,
-            lambda n_workers=n_workers: parallel_rs_statistics(
-                est, grid_sizes, workers=n_workers, layout="joint"),
-            lambda n_workers=n_workers: parallel_rs_statistics(
-                est, grid_sizes, workers=n_workers, layout="per-scale"),
-            repeats=repeats, workers=n_workers,
         ))
 
     # --- scenario campaigns: result-store overhead per cell --------------
@@ -619,8 +556,9 @@ def main(argv=None) -> int:
                              "no scaling rows)")
     args = parser.parse_args(argv)
 
-    results = run_benchmarks(quick=args.quick, seed=args.seed,
-                             workers=args.workers)
+    with ensure_runtime():
+        results = run_benchmarks(quick=args.quick, seed=args.seed,
+                                 workers=args.workers)
     print(render_results(results))
     write_report(results, args.output, quick=args.quick, seed=args.seed,
                  workers=args.workers)

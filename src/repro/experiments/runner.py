@@ -78,19 +78,18 @@ def median_instance_means(
 
 
 @contextlib.contextmanager
-def execution_scope(*, workers: int | None = None, runtime: str | None = None,
-                    kernels: bool | None = None, schedule: str | None = None,
-                    telemetry: bool | None = None):
+def execution_scope(*, workers: int | None = None, kernels: bool | None = None,
+                    schedule: str | None = None, telemetry: bool | None = None):
     """The CLI's run context: workers default + pool runtime + kernels.
 
     One scope serves every harness entry point (figure runs, scenario
-    campaigns): ``workers`` becomes the session sharding default for the
-    block, ``runtime="persistent"`` keeps one worker pool alive across
-    every parallel region inside it (``None`` consults
-    ``REPRO_RUNTIME``), ``kernels=True`` enables the optional compiled
-    tier (``None`` consults ``REPRO_KERNELS``), ``schedule`` sets
-    the session cell-scheduling mode — ``"cells"``, ``"ensembles"``, or
-    ``"auto"`` (``None`` consults ``REPRO_SCHEDULE``), and
+    campaigns, the bench): one lazily forked worker pool serves every
+    parallel region inside it (reusing an already active runtime),
+    ``workers`` becomes the session sharding default for the block,
+    ``kernels=True`` enables the optional compiled tier (``None``
+    consults ``REPRO_KERNELS``), ``schedule`` sets the session
+    cell-scheduling mode — ``"cells"``, ``"ensembles"``, or ``"auto"``
+    (``None`` consults ``REPRO_SCHEDULE``), and
     ``telemetry=True`` turns on span/metric recording for the block
     (``None`` consults ``REPRO_TELEMETRY``).  Results never depend on
     any of them — the scope is purely a wall-clock lever.
@@ -98,16 +97,8 @@ def execution_scope(*, workers: int | None = None, runtime: str | None = None,
     import repro.obs as obs
     from repro.kernels import kernels as kernels_scope
     from repro.parallel import default_schedule, default_workers
-    from repro.parallel.runtime import pool_runtime, runtime_mode_from_env
+    from repro.parallel.runtime import ensure_runtime
 
-    mode = runtime if runtime is not None else runtime_mode_from_env()
-    if mode not in ("persistent", "fresh"):
-        raise ParameterError(
-            f"runtime must be 'persistent' or 'fresh', got {mode!r}"
-        )
-    pool_scope = (
-        pool_runtime() if mode == "persistent" else contextlib.nullcontext()
-    )
     kernel_scope = (
         kernels_scope(kernels) if kernels is not None
         else contextlib.nullcontext()
@@ -116,7 +107,7 @@ def execution_scope(*, workers: int | None = None, runtime: str | None = None,
         obs.telemetry(telemetry) if telemetry is not None
         else contextlib.nullcontext()
     )
-    with pool_scope, kernel_scope, default_workers(workers), \
+    with ensure_runtime(), kernel_scope, default_workers(workers), \
             default_schedule(schedule), telemetry_scope:
         yield
 
@@ -147,18 +138,21 @@ def run_experiment(
     sharded engine (:mod:`repro.parallel`) for the duration of the run.
     Results are bit-identical to ``workers=1`` — parallelism is purely a
     wall-clock lever, so figure outputs never depend on the machine.
+    Every parallel region of the run shares one lazily forked pool (the
+    active runtime's, when one is open).
     """
     if name not in _REGISTRY:
         raise ParameterError(
             f"unknown experiment {name!r}; available: {available_experiments()}"
         )
     from repro.parallel import default_workers
+    from repro.parallel.runtime import ensure_runtime
 
     module = importlib.import_module(_REGISTRY[name])
     kwargs = {"scale": scale}
     if seed is not None:
         kwargs["seed"] = seed
-    with default_workers(workers):
+    with ensure_runtime(), default_workers(workers):
         results = module.run(**kwargs)
     if isinstance(results, ExperimentResult):
         return [results]

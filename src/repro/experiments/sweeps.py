@@ -71,6 +71,7 @@ from repro.parallel.executor import (
     resolve_workers,
     run_shards,
 )
+from repro.parallel.runtime import active_runtime
 from repro.utils.once import warn_once
 from repro.utils.rng import stream_for
 
@@ -378,12 +379,14 @@ def _eval_rows(spec: SweepSpec, ctx: SweepContext) -> list[dict]:
             _ACTIVE = (spec, ctx)
             try:
                 # Row workers read the spec from this module global via
-                # fork inheritance, so they need a pool forked *now* — a
-                # session's persistent pool predates the global and must
-                # not serve them.
+                # fork inheritance, so they need a pool forked *now*: a
+                # session pool that predates the global must not serve
+                # them.  (Without a session pool the call forks its own.)
+                runtime = active_runtime()
+                if runtime is not None:
+                    runtime.restart()
                 return run_shards(
-                    _row_worker, [(i,) for i in range(n)],
-                    workers=n_workers, fresh_pool=True,
+                    _row_worker, [(i,) for i in range(n)], workers=n_workers
                 )
             finally:
                 _ACTIVE = previous

@@ -213,12 +213,12 @@ def call_with_faults(plan: FaultPlan, shard: int, attempt: int,
                      in_worker: bool, fn, args):
     """Worker-side shim: apply any matching directive, then run the shard.
 
-    Module-level so it pickles into both fresh and persistent pools; the
-    plan travels in the arguments, never via inherited globals, so
-    workers forked before the plan existed still see it.  ``kill``
-    directives only fire inside a real pool worker (``in_worker``) — on
-    the serial path there is no worker to kill and exiting would take
-    the session down, which is precisely not the failure being modelled.
+    Module-level so it pickles into any pool; the plan travels in the
+    arguments, never via inherited globals, so workers forked before the
+    plan existed still see it.  ``kill`` directives only fire inside a
+    real pool worker (``in_worker``) — on the serial path there is no
+    worker to kill and exiting would take the session down, which is
+    precisely not the failure being modelled.
     """
     directive = plan.shard_fault(shard, attempt)
     if directive is not None:

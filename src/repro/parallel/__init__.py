@@ -9,10 +9,8 @@ turns every such workload into a sharded computation:
    shards;
 2. :mod:`~repro.parallel.executor` runs one picklable worker per shard
    (``multiprocessing`` with a loud serial fallback, plus the session-wide
-   default from ``--workers`` / the ``REPRO_WORKERS`` env var), reusing
-   the session's persistent pool when a
-   :mod:`~repro.parallel.runtime` scope is active instead of forking one
-   per call;
+   default from ``--workers`` / the ``REPRO_WORKERS`` env var) on the
+   session's persistent pool (:mod:`~repro.parallel.runtime`);
 3. :mod:`~repro.parallel.memory` hands shards a zero-copy
    :class:`~repro.trace.store.TraceHandle` instead of pickling the trace
    into every task;
@@ -60,14 +58,12 @@ from repro.parallel.executor import (
     trace_sharing,
 )
 from repro.parallel.memory import shared_values
-from repro.parallel.plan import JointPlan, ScaleSlice, Shard, ShardPlan
+from repro.parallel.plan import Shard, ShardPlan
 from repro.parallel.runtime import (
     PoolRuntime,
     PoolUnavailableError,
     active_runtime,
     pool_runtime,
-    start_runtime,
-    stop_runtime,
 )
 from repro.parallel.state import (
     AggVarState,
@@ -80,7 +76,6 @@ from repro.parallel.state import (
     merge_states,
 )
 from repro.parallel.streaming import (
-    TraceChunkSource,
     chunked,
     parallel_chunk_tail_probabilities,
     prefetch_backend_from_env,
@@ -95,14 +90,10 @@ __all__ = [
     # plan
     "Shard",
     "ShardPlan",
-    "ScaleSlice",
-    "JointPlan",
     # runtime
     "PoolRuntime",
     "PoolUnavailableError",
     "pool_runtime",
-    "start_runtime",
-    "stop_runtime",
     "active_runtime",
     # executor
     "run_shards",
@@ -145,7 +136,6 @@ __all__ = [
     "parallel_tail_probabilities",
     # streaming
     "chunked",
-    "TraceChunkSource",
     "prefetch_backend_from_env",
     "prefetch_chunks",
     "streamed_moments",

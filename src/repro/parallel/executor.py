@@ -328,13 +328,8 @@ _POOL_CREATION_ERRORS = (OSError, ValueError, RuntimeError, AssertionError)
 
 
 def _create_pool(method: str, processes: int):
-    """The one pool-creation recipe every dispatch path shares.
-
-    Both the fresh-pool path below and the persistent
-    :class:`repro.parallel.runtime.PoolRuntime` create their pools here,
-    so the two can never diverge on context or error handling; callers
-    catch :data:`_POOL_CREATION_ERRORS`.
-    """
+    """The pool-creation recipe :class:`repro.parallel.runtime.PoolRuntime`
+    uses; callers catch :data:`_POOL_CREATION_ERRORS`."""
     ctx = multiprocessing.get_context(method)
     pool = ctx.Pool(processes=processes)
     obs.count("executor.pool_forks")
@@ -523,32 +518,6 @@ def _shutdown_pool(pool) -> None:
     pool.join()
 
 
-class _FreshPoolProvider:
-    """Supervision's view of a throwaway per-call pool."""
-
-    pool_errors = _POOL_CREATION_ERRORS
-
-    def __init__(self, method: str, processes: int):
-        self._method = method
-        self._processes = processes
-        self._pool = None
-
-    def pool(self):
-        if self._pool is None:
-            self._pool = _create_pool(self._method, self._processes)
-        return self._pool
-
-    def worker_state(self) -> frozenset:
-        return _pool_worker_state(self._pool) if self._pool is not None else frozenset()
-
-    def recycle(self) -> None:
-        if self._pool is not None:
-            _shutdown_pool(self._pool)
-            self._pool = None
-
-    close = recycle
-
-
 def _call_shard(fn, task, plan, shard: int, attempt: int, *, in_worker: bool):
     """Run one shard in-process, honouring any active fault plan."""
     if plan is not None and plan.has_shard_faults():
@@ -717,7 +686,7 @@ def _run_serial(fn, tasks, plan, base: int) -> list:
     return results
 
 
-def run_shards(fn, tasks, *, workers: int | None = None, fresh_pool: bool = False,
+def run_shards(fn, tasks, *, workers: int | None = None,
                policy: RetryPolicy | None = None, chunksize: int | None = None,
                collect_errors: bool = False) -> list:
     """Apply ``fn(*task)`` to every task, returning results in task order.
@@ -737,13 +706,10 @@ def run_shards(fn, tasks, *, workers: int | None = None, fresh_pool: bool = Fals
     of raising, so one doomed task cannot abort its siblings; it only
     changes what happens on budget exhaustion, never a healthy result.
 
-    When a session-scoped :class:`repro.parallel.runtime.PoolRuntime` is
-    active, its persistent pool is reused instead of forking per call —
-    amortizing pool creation across every parallel region of a session.
-    ``fresh_pool=True`` opts a call out of the runtime: pass it when the
-    worker function depends on fork-inheriting parent state set *after*
-    the session started (e.g. the sweep engine's ``parallel_rows`` spec
-    global), which a long-lived pool's workers cannot see.
+    The pool is the active :class:`repro.parallel.runtime.PoolRuntime`'s,
+    so pool creation is amortized across every parallel region of a
+    session; outside any runtime scope the call opens its own and tears
+    it down before returning.
 
     Pool dispatch is supervised per the resolved :class:`RetryPolicy`
     (``policy=None`` means the session default): dead workers and blown
@@ -766,37 +732,20 @@ def run_shards(fn, tasks, *, workers: int | None = None, fresh_pool: bool = Fals
     obs.count("executor.shards", len(tasks))
     if n_workers <= 1 or len(tasks) <= 1:
         return _run_serial(fn, tasks, plan, base)
-    supervised = pol.supervises or (plan is not None and plan.has_shard_faults())
-    if not fresh_pool:
-        from repro.parallel.runtime import PoolUnavailableError, active_runtime
+    from repro.parallel.runtime import PoolUnavailableError, ensure_runtime
 
-        runtime = active_runtime()
-        if runtime is not None:
-            try:
-                # Cap at the task count like the fresh path sizes its
-                # pool — a small dispatch must not grow (and recycle)
-                # the persistent pool past what it can use.
-                return runtime.starmap(
-                    fn, tasks, workers=min(n_workers, len(tasks)),
-                    policy=pol, plan=plan, base=base, chunksize=chunksize,
-                    collect_errors=collect_errors,
-                )
-            except PoolUnavailableError as exc:
-                _warn_pool_failure(exc.__cause__ or exc)
-                return _run_serial(fn, tasks, plan, base)
-    provider = _FreshPoolProvider(pool_start_method(), min(n_workers, len(tasks)))
-    try:
-        pool = provider.pool()
-    except _POOL_CREATION_ERRORS as exc:
-        # No working pool in this environment (missing semaphores, daemonic
-        # parent, ...): degrade to the serial path, which is bit-for-bit
-        # identical by construction — but say so, once.
-        _warn_pool_failure(exc)
-        return _run_serial(fn, tasks, plan, base)
-    try:
-        if supervised:
-            return _supervise(fn, tasks, policy=pol, plan=plan, base=base,
-                              provider=provider, collect_errors=collect_errors)
-        return pool.starmap(fn, tasks, chunksize)
-    finally:
-        provider.close()
+    with ensure_runtime() as runtime:
+        try:
+            # Cap at the task count: a small dispatch must not grow (and
+            # recycle) the pool past what it can use.
+            return runtime.starmap(
+                fn, tasks, workers=min(n_workers, len(tasks)),
+                policy=pol, plan=plan, base=base, chunksize=chunksize,
+                collect_errors=collect_errors,
+            )
+        except PoolUnavailableError as exc:
+            # No working pool in this environment (missing semaphores,
+            # daemonic parent, ...): degrade to the serial path, which is
+            # bit-for-bit identical by construction — but say so, once.
+            _warn_pool_failure(exc.__cause__ or exc)
+            return _run_serial(fn, tasks, plan, base)

@@ -9,16 +9,6 @@ order-preserving reduction over per-shard results (concatenation of
 instance means, summation of exact counts) is independent of the shard
 count — the property the ``workers=1`` versus ``workers=N`` determinism
 tests pin.
-
-:class:`JointPlan` generalizes this to the estimators' two-level grids:
-a scale axis (window/block/box sizes) crossed with a per-scale row count,
-where the *cost* of a row grows with the scale.  Sharding rows within
-each scale separately (the PR 2 layout) starves shards at large scales —
-a 512k-point series has two windows of size 256k, so at workers=8 six
-shards idle while two carry half the total work.  The joint plan lays
-every scale's rows on one global cost line and cuts it into equal-cost
-contiguous segments, so many-scale R/S–aggvar–DFA grids balance for any
-worker count.
 """
 
 from __future__ import annotations
@@ -26,10 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ParameterError
-
-
-def _ceil_div(numerator: int, denominator: int) -> int:
-    return -(-numerator // denominator)
 
 
 @dataclass(frozen=True)
@@ -94,106 +80,3 @@ class ShardPlan:
     def slices(self) -> list[slice]:
         """The shard ranges as plain slices, in shard order."""
         return [shard.range for shard in self.shards]
-
-
-@dataclass(frozen=True)
-class ScaleSlice:
-    """Rows ``[start, stop)`` of one scale, assigned to a single shard."""
-
-    scale: int
-    start: int
-    stop: int
-
-    def __post_init__(self) -> None:
-        if self.scale < 0 or self.start < 0 or self.stop < self.start:
-            raise ParameterError(
-                f"scale slice (scale={self.scale}, [{self.start}, {self.stop})) "
-                "is malformed"
-            )
-
-    @property
-    def size(self) -> int:
-        return self.stop - self.start
-
-
-@dataclass(frozen=True)
-class JointPlan:
-    """Cost-balanced partition of a (scale × rows) grid into shards.
-
-    Each shard is a tuple of :class:`ScaleSlice` covering contiguous row
-    ranges; together the shards tile every scale's ``[0, row_count)``
-    exactly once, in (scale, row) order.  Shard boundaries are pure
-    integer arithmetic on the cumulative cost line, so the partition —
-    and hence the merged reduction — is a deterministic function of
-    ``(row_counts, row_costs, workers)``.
-    """
-
-    total_cost: int
-    shards: tuple[tuple[ScaleSlice, ...], ...]
-
-    @classmethod
-    def split(cls, row_counts, row_costs, workers: int) -> "JointPlan":
-        """Partition jointly across scales, balancing per-shard cost.
-
-        ``row_counts[i]`` rows of scale ``i`` each cost ``row_costs[i]``
-        units of work.  Produces at most ``workers`` shards whose total
-        costs differ by at most one row's cost; scales with zero rows
-        (degenerate sizes) never reach a shard.
-        """
-        counts = [int(c) for c in row_counts]
-        costs = [int(w) for w in row_costs]
-        if len(counts) != len(costs):
-            raise ParameterError(
-                f"row_counts has {len(counts)} scales but row_costs {len(costs)}"
-            )
-        for c in counts:
-            if c < 0:
-                raise ParameterError(f"row count must be non-negative, got {c}")
-        for w in costs:
-            if w < 1:
-                raise ParameterError(f"row cost must be >= 1, got {w}")
-        if workers < 1:
-            raise ParameterError(f"workers must be >= 1, got {workers}")
-        total_rows = sum(counts)
-        total = sum(c * w for c, w in zip(counts, costs))
-        n_shards = min(workers, total_rows)
-        if n_shards == 0:
-            return cls(total_cost=0, shards=())
-        # Cumulative cost at the start of each scale; shard k owns the
-        # cost interval [total*k/n, total*(k+1)/n) and takes, per scale,
-        # the rows whose cost span starts inside it.
-        starts = []
-        acc = 0
-        for c, w in zip(counts, costs):
-            starts.append(acc)
-            acc += c * w
-        shards = []
-        for k in range(n_shards):
-            b0 = total * k // n_shards
-            b1 = total * (k + 1) // n_shards
-            slices = []
-            for i, (c, w) in enumerate(zip(counts, costs)):
-                if c == 0:
-                    continue
-                lo = min(max(_ceil_div(b0 - starts[i], w), 0), c)
-                hi = min(max(_ceil_div(b1 - starts[i], w), 0), c)
-                if hi > lo:
-                    slices.append(ScaleSlice(scale=i, start=lo, stop=hi))
-            if slices:
-                shards.append(tuple(slices))
-        return cls(total_cost=total, shards=tuple(shards))
-
-    @property
-    def n_shards(self) -> int:
-        return len(self.shards)
-
-    def tasks(self) -> list[tuple[tuple[int, int, int], ...]]:
-        """Per-shard assignments as plain ``(scale, start, stop)`` tuples.
-
-        This is what rides in the (picklable) shard task tuples — the
-        dataclass wrappers stay parent-side.
-        """
-        return [
-            tuple((s.scale, s.start, s.stop) for s in shard)
-            for shard in self.shards
-        ]

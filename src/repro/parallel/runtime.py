@@ -1,14 +1,14 @@
-"""Session-scoped persistent worker pool: amortize fork across calls.
+"""Session-scoped worker pool: the one pool lifetime every dispatch uses.
 
-:func:`~repro.parallel.executor.run_shards` historically forked a fresh
-pool on every call, so a 21-figure sweep at ``--workers N`` paid pool
-creation once per panel cell.  A :class:`PoolRuntime` keeps one pool
-alive for a whole session: the first parallel region forks it lazily,
-every later region reuses it, and the per-call cost drops to task
-dispatch.  Activate one with the :func:`pool_runtime` context manager
-(or :func:`start_runtime`/:func:`stop_runtime` for REPL sessions); the
-executor consults :func:`active_runtime` transparently, so no call site
-changes.
+A :class:`PoolRuntime` keeps one worker pool alive for a whole session:
+the first parallel region forks it lazily, every later region reuses
+it, and the per-call cost drops to task dispatch.  The harness entry
+points (``execution_scope``, ``run_experiment``, ``run_campaign``) open
+one with :func:`ensure_runtime` when none is active, and
+:func:`~repro.parallel.executor.run_shards` dispatches through
+:func:`active_runtime` — or, for a bare call outside any scope, through
+a call-scoped runtime it closes before returning, so no workers outlive
+the call.
 
 Correctness properties the runtime preserves:
 
@@ -24,14 +24,10 @@ Correctness properties the runtime preserves:
   them.  :meth:`repro.trace.store.TraceStore.publish` asks
   :func:`attach_preferred` and switches to the attach-by-name ``shm``
   backend whenever a live pool predates the publish.
-* **Fresh-fork escape hatch** — call sites that rely on fork
-  inheritance of state set *after* session start (the sweep engine's
-  ``parallel_rows`` spec global) pass ``fresh_pool=True`` to
-  ``run_shards`` and bypass the runtime.
-
-An optional ``idle_timeout`` tears the pool down after a quiet period —
-a long interactive session does not pin N idle processes — and the next
-parallel region simply re-forks it.
+* **State set after the fork** — call sites whose workers read module
+  state through fork inheritance (the sweep engine's ``parallel_rows``
+  spec global) call :meth:`PoolRuntime.restart` after setting it, so
+  the next region forks a pool that sees it.
 """
 
 from __future__ import annotations
@@ -39,10 +35,8 @@ from __future__ import annotations
 import contextlib
 import os
 import threading
-import time
 
 import repro.obs as obs
-from repro.errors import ParameterError
 from repro.parallel.executor import (
     _POOL_CREATION_ERRORS,
     _create_pool,
@@ -89,33 +83,15 @@ class _RuntimePoolProvider:
 class PoolRuntime:
     """A lazily created, persistent worker pool reused across calls.
 
-    Parameters
-    ----------
-    workers:
-        Optional cap on the pool size.  ``None`` (the default) lets the
-        pool grow to the largest worker count any call requests.
-    idle_timeout:
-        Tear the pool down after this many seconds without a parallel
-        region (``None`` disables).  The next region re-forks it; only
-        wall-clock, never results, depends on the teardown.
+    The pool grows to the largest worker count any call requests.
     """
 
-    def __init__(self, workers: int | None = None, *, idle_timeout: float | None = None):
-        if workers is not None:
-            workers = _validate_workers(workers)
-        if idle_timeout is not None and not idle_timeout > 0:
-            raise ParameterError(
-                f"idle_timeout must be positive or None, got {idle_timeout!r}"
-            )
-        self._max_workers = workers
-        self._idle_timeout = idle_timeout
+    def __init__(self):
         self._lock = threading.Lock()
         self._owner_pid = os.getpid()
         self._pool = None
         self._pool_size = 0
         self._start_method: str | None = None
-        self._timer: threading.Timer | None = None
-        self._last_used = 0.0
         self._closed = False
         #: Number of pool (re)creations — the quantity the persistent
         #: runtime exists to minimise; benchmarks and tests read it.
@@ -144,27 +120,21 @@ class PoolRuntime:
         with self._lock:
             if self._closed:
                 raise PoolUnavailableError("pool runtime is closed")
-            self._cancel_timer_locked()
             pool = self._ensure_pool_locked(workers)
-            try:
-                if policy.supervises or (
-                    plan is not None and plan.has_shard_faults()
-                ):
-                    provider = _RuntimePoolProvider(self, workers)
-                    return _supervise(
-                        fn, tasks, policy=policy, plan=plan, base=base,
-                        provider=provider, collect_errors=collect_errors,
-                    )
-                return pool.starmap(fn, tasks, chunksize)
-            finally:
-                self._last_used = time.monotonic()
-                self._schedule_teardown_locked()
+            if policy.supervises or (
+                plan is not None and plan.has_shard_faults()
+            ):
+                provider = _RuntimePoolProvider(self, workers)
+                return _supervise(
+                    fn, tasks, policy=policy, plan=plan, base=base,
+                    provider=provider, collect_errors=collect_errors,
+                )
+            return pool.starmap(fn, tasks, chunksize)
 
     # ------------------------------------------------------------- lifecycle
     def _ensure_pool_locked(self, workers: int):
         method = pool_start_method()
-        size = workers if self._max_workers is None else min(workers, self._max_workers)
-        size = max(size, 1)
+        size = max(workers, 1)
         if self._pool is not None and (
             self._start_method != method or self._pool_size < size
         ):
@@ -194,41 +164,15 @@ class PoolRuntime:
             self._pool_size = 0
             self._start_method = None
 
-    def _cancel_timer_locked(self) -> None:
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-
-    def _schedule_teardown_locked(self) -> None:
-        if self._idle_timeout is None or self._pool is None:
-            return
-        self._timer = threading.Timer(self._idle_timeout, self._idle_check)
-        self._timer.daemon = True
-        self._timer.start()
-
-    def _idle_check(self) -> None:
-        with self._lock:
-            self._timer = None
-            if self._pool is None or self._closed:
-                return
-            idle = time.monotonic() - self._last_used
-            if idle + 1e-3 >= self._idle_timeout:
-                self._teardown_locked()
-                obs.event("runtime.idle_teardown", idle_s=round(idle, 3))
-            else:  # a region ran since the timer was armed; re-arm the rest
-                self._schedule_teardown_locked()
-
     def restart(self) -> None:
         """Force the next parallel region onto a freshly forked pool."""
         with self._lock:
-            self._cancel_timer_locked()
             self._teardown_locked()
 
     def close(self) -> None:
         """Tear the pool down and refuse further work (idempotent)."""
         with self._lock:
             self._closed = True
-            self._cancel_timer_locked()
             self._teardown_locked()
 
     # ------------------------------------------------------------ inspection
@@ -253,14 +197,13 @@ _ACTIVE_RUNTIME: PoolRuntime | None = None
 
 
 def active_runtime() -> PoolRuntime | None:
-    """The runtime ``run_shards`` should reuse, or None for fork-per-call.
+    """The runtime ``run_shards`` should reuse, or None outside any scope.
 
     Only the process that created the runtime may use it: a forked child
     inherits the module global, but the pool's handler threads and task
     queues do not survive the fork — dispatching there would hang, not
-    run.  Children therefore see None and take the ordinary fresh-pool
-    path (which, inside a daemonic pool worker, degrades loudly to
-    serial exactly as before).
+    run.  Children therefore see None and open a call-scoped runtime,
+    which inside a daemonic pool worker degrades loudly to serial.
     """
     runtime = _ACTIVE_RUNTIME
     if runtime is not None and runtime._owner_pid != os.getpid():
@@ -268,27 +211,8 @@ def active_runtime() -> PoolRuntime | None:
     return runtime
 
 
-def start_runtime(
-    workers: int | None = None, *, idle_timeout: float | None = None
-) -> PoolRuntime:
-    """Activate a session-scoped persistent runtime (replacing any current one)."""
-    global _ACTIVE_RUNTIME
-    if _ACTIVE_RUNTIME is not None:
-        _ACTIVE_RUNTIME.close()
-    _ACTIVE_RUNTIME = PoolRuntime(workers, idle_timeout=idle_timeout)
-    return _ACTIVE_RUNTIME
-
-
-def stop_runtime() -> None:
-    """Deactivate and tear down the session runtime (no-op when absent)."""
-    global _ACTIVE_RUNTIME
-    if _ACTIVE_RUNTIME is not None:
-        _ACTIVE_RUNTIME.close()
-        _ACTIVE_RUNTIME = None
-
-
 @contextlib.contextmanager
-def pool_runtime(workers: int | None = None, *, idle_timeout: float | None = None):
+def pool_runtime():
     """Scope a persistent pool to a ``with`` block.
 
     Every ``run_shards`` call inside the block reuses one pool (forked
@@ -297,13 +221,28 @@ def pool_runtime(workers: int | None = None, *, idle_timeout: float | None = Non
     """
     global _ACTIVE_RUNTIME
     previous = _ACTIVE_RUNTIME
-    runtime = PoolRuntime(workers, idle_timeout=idle_timeout)
+    runtime = PoolRuntime()
     _ACTIVE_RUNTIME = runtime
     try:
         yield runtime
     finally:
         _ACTIVE_RUNTIME = previous
         runtime.close()
+
+
+@contextlib.contextmanager
+def ensure_runtime():
+    """Reuse the active runtime, or scope a lazy :func:`pool_runtime`.
+
+    Nothing forks until a parallel region runs, so a serial session
+    pays only for the (unused) runtime object.
+    """
+    runtime = active_runtime()
+    if runtime is not None:
+        yield runtime
+        return
+    with pool_runtime() as runtime:
+        yield runtime
 
 
 def attach_preferred() -> bool:
@@ -321,21 +260,5 @@ def attach_preferred() -> bool:
 
 
 def runtime_mode_from_env() -> str:
-    """``REPRO_RUNTIME`` session default: ``"persistent"`` or ``"fresh"``.
-
-    An unknown runtime name raises :class:`ParameterError` naming the
-    variable: a user who exported ``REPRO_RUNTIME=persistant`` asked for
-    the persistent pool and must not silently get fork-per-call.
-    """
-    raw = os.environ.get("REPRO_RUNTIME")
-    if raw is None:
-        return "fresh"
-    value = raw.strip().lower()
-    if value in ("persistent", "pool"):
-        return "persistent"
-    if value in ("fresh", "fork", ""):
-        return "fresh"
-    raise ParameterError(
-        f"invalid REPRO_RUNTIME={raw!r}: expected 'persistent' or 'fresh' "
-        "(unset the variable for the fresh-pool default)"
-    )
+    """Always ``"persistent"``; kept for knob reporting."""
+    return "persistent"

@@ -8,8 +8,8 @@ cells can be re-run, skipped, or distributed without changing a single
 number.  Monte-Carlo ensembles route through
 :func:`repro.core.variance.instance_means` and queue tails through
 :func:`repro.parallel.parallel_tail_probabilities`, i.e. through the
-sharded engine, the zero-copy trace protocol, and (when active) the
-persistent pool runtime; ``workers=N`` is bit-identical to
+sharded engine, the zero-copy trace protocol, and the campaign's
+persistent worker pool; ``workers=N`` is bit-identical to
 ``workers=1``.
 
 What a rate-series cell records:
@@ -66,7 +66,7 @@ from repro.parallel.executor import (
     resolve_workers,
     retry_policy,
 )
-from repro.parallel.runtime import active_runtime
+from repro.parallel.runtime import active_runtime, ensure_runtime
 from repro.queueing.norros import overflow_probability
 from repro.queueing.simulation import queue_occupancy, utilisation_for_load
 from repro.scenarios.registry import available_scenarios, get_scenario
@@ -493,8 +493,11 @@ def run_campaign(
     those cells.  SIGINT and SIGTERM shut down cleanly: results are
     durable per append (a cell-scheduled run forfeits at most its
     current round's uncommitted results, which resume re-runs), and the
-    persistent pool (when one is active) is torn down rather than
-    orphaned.
+    worker pool is torn down rather than orphaned.
+
+    Every parallel region of the campaign shares one lazily forked pool:
+    the active runtime's, or one scoped to this call and closed before
+    it returns.
     """
     if max_cells is not None and max_cells < 0:
         raise ParameterError(f"max_cells must be >= 0, got {max_cells}")
@@ -521,8 +524,8 @@ def run_campaign(
     # absorbs everything on exit.  None when telemetry is off.
     with obs.scoped_collector() as collector:
         try:
-            with _sigterm_as_interrupt(), default_workers(workers), \
-                    retry_policy(retry), \
+            with ensure_runtime(), _sigterm_as_interrupt(), \
+                    default_workers(workers), retry_policy(retry), \
                     obs.span("campaign", name=campaign, smoke=smoke):
                 pending = []
                 for cell in cells:
@@ -578,7 +581,8 @@ def run_campaign(
                             obs.count("campaign.cells_executed")
         except KeyboardInterrupt:
             # Appends are fsync-durable, so the store needs no flush; what a
-            # kill must not leave behind is a live worker pool.
+            # kill must not leave behind is a live worker pool.  A pool
+            # scoped to this call is already closed; an outer one restarts.
             runtime = active_runtime()
             if runtime is not None:
                 runtime.restart()

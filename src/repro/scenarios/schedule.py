@@ -15,12 +15,10 @@ shards the campaign's pending-cell list across the pool the way
 
 * **Cost model** — :func:`cell_cost` estimates each cell's work from
   trace length × ensemble size (plus estimator/confidence/queue terms),
-  and :func:`cell_costs` normalises the estimates into the integer
-  weights :class:`~repro.parallel.plan.JointPlan` consumes — the same
-  floor-normalisation its ``cost_model="measured"`` machinery uses — so
-  one giant cell cannot serialise the tail of the campaign.
+  and :func:`cell_costs` normalises the estimates into small integer
+  weights, so one giant cell cannot serialise the tail of the campaign.
 * **Rounds** — the pending list is cut into contiguous, cost-balanced
-  rounds on ``JointPlan``'s cumulative cost line.  Rounds bound the
+  rounds on the cells' cumulative cost line.  Rounds bound the
   commit lag: the parent buffers one round's out-of-order completions,
   then commits them in canonical cell order, so an interrupted campaign
   loses at most one round of uncommitted work (and ``--resume`` re-runs
@@ -47,6 +45,7 @@ the campaign quarantines without aborting its siblings.
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import time
 from dataclasses import dataclass
@@ -60,7 +59,6 @@ from repro.parallel.executor import (
     resolve_workers,
     run_shards,
 )
-from repro.parallel.plan import JointPlan
 from repro.scenarios.specs import Cell
 
 #: Rounds hold about this many cells per worker: large enough that LPT
@@ -93,10 +91,9 @@ def cell_cost(cell: Cell) -> int:
 def cell_costs(cells) -> list[int]:
     """Integer cost weights for ``cells``, cheapest cell normalised to 1.
 
-    The same normalisation ``JointPlan``'s measured cost model applies
-    to per-scale timings: divide by the floor and round, clamping at 1,
-    so the weights stay small integers and the cumulative cost line
-    cannot overflow or degenerate.
+    Divide by the floor and round, clamping at 1, so the weights stay
+    small integers and the cumulative cost line cannot overflow or
+    degenerate.
     """
     raw = [cell_cost(cell) for cell in cells]
     if not raw:
@@ -163,16 +160,30 @@ def plan_campaign(cells, *, workers: int | None = None,
     costs = cell_costs(cells)
     n = len(cells)
     n_rounds = max(-(-n // (ROUND_FACTOR * n_workers)), 1)
-    # One count-1 "scale" per cell puts every cell on JointPlan's
-    # cumulative cost line; its integer boundaries cut the canonical
-    # order into contiguous, cost-balanced rounds.
-    joint = JointPlan.split([1] * n, costs, n_rounds)
-    rounds = []
-    for shard in joint.shards:
-        indices = [s.scale for s in shard]
-        indices.sort(key=lambda i: -costs[i])  # stable LPT: ties stay canonical
-        rounds.append(tuple(indices))
-    return CellSchedule(mode="cells", costs=tuple(costs), rounds=tuple(rounds))
+    rounds = tuple(
+        # Stable LPT: heaviest first, ties stay in canonical order.
+        tuple(sorted(indices, key=lambda i: -costs[i]))
+        for indices in _cut_rounds(costs, n_rounds)
+    )
+    return CellSchedule(mode="cells", costs=tuple(costs), rounds=rounds)
+
+
+def _cut_rounds(costs, n_rounds: int) -> list[list[int]]:
+    """Cut cells ``0..len(costs)-1`` into contiguous, cost-balanced rounds.
+
+    The cells lie on one cumulative cost line cut at integer boundaries:
+    cell ``i`` joins round ``k`` when its cost span starts inside
+    ``[total*k//R, total*(k+1)//R)``.  Rounds no cell starts in are
+    dropped, so every returned round is non-empty.
+    """
+    total = sum(costs)
+    bounds = [total * k // n_rounds for k in range(n_rounds)]
+    members: list[list[int]] = [[] for __ in range(n_rounds)]
+    start = 0
+    for i, cost in enumerate(costs):
+        members[bisect.bisect_right(bounds, start) - 1].append(i)
+        start += cost
+    return [indices for indices in members if indices]
 
 
 # ---------------------------------------------------------------- dispatch

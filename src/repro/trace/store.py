@@ -87,8 +87,7 @@ def _warn_shm_fallback(exc: BaseException) -> None:
         "repro.trace.store: shared memory is unavailable "
         f"({type(exc).__name__}: {exc}); traces published while the "
         "persistent pool is live will be pickled into every shard "
-        "(results are identical, dispatch is slower). Consider a fresh-"
-        "pool session, which keeps the zero-copy fork-inherit backend.",
+        "(results are identical, dispatch is slower).",
         stacklevel=4,
     )
 
@@ -98,36 +97,26 @@ def _attach_segment(name: str) -> shared_memory.SharedMemory:
 
     The publishing parent owns the segment's lifetime (it unlinks on
     ``close``); an attach must not add its own resource-tracker
-    registration or the tracker warns about the already-unlinked name at
-    exit.  Python 3.13+ exposes ``track=False`` for exactly this; on
-    older versions the spurious registration is undone by hand.
+    registration.  Python 3.13+ exposes ``track=False`` for exactly
+    this.  Older versions register every attach, and undoing that with
+    an ``unregister`` is wrong when the attaching worker shares the
+    parent's tracker (a pool forked after the tracker started): the
+    tracker keeps one entry per name, so the worker's unregister drops
+    the *parent's* registration and the parent's unlink then makes the
+    tracker print a ``KeyError`` traceback.  So the registration is
+    suppressed for the duration of the attach instead.
     """
     try:
         return shared_memory.SharedMemory(name=name, track=False)
     except TypeError:  # Python < 3.13: no ``track`` parameter
-        segment = shared_memory.SharedMemory(name=name)
-        try:
-            from multiprocessing import resource_tracker
-
-            resource_tracker.unregister(segment._name, "shared_memory")
-        except Exception:  # best-effort: the warning is cosmetic
-            pass
-        return segment
-
-
-def _tracker_call(op: str, name: str) -> None:
-    """Best-effort resource-tracker ``register``/``unregister``.
-
-    Tracker bookkeeping is noise control, never correctness: segment
-    lifetime is owned by explicit ``close`` calls, the tracker only
-    sweeps leftovers after crashes.  So any tracker failure is ignored.
-    """
-    try:
         from multiprocessing import resource_tracker
 
-        getattr(resource_tracker, op)(name, "shared_memory")
-    except Exception:
-        pass
+        register = resource_tracker.register
+        resource_tracker.register = lambda name, rtype: None
+        try:
+            return shared_memory.SharedMemory(name=name)
+        finally:
+            resource_tracker.register = register
 
 
 def _next_token() -> str:
@@ -231,7 +220,6 @@ class TraceStore:
         self._handle = handle
         self._segment = segment
         self._token = token
-        self._untracked = False
         self._values = handle.values()
 
     # ------------------------------------------------------------ creation
@@ -277,10 +265,9 @@ class TraceStore:
                 from repro.parallel.runtime import attach_preferred
 
                 if attach_preferred():
-                    # A persistent pool forced the shm backend; falling
-                    # back to inline re-introduces the per-shard pickle a
-                    # fresh-pool session would have avoided via inherit —
-                    # say so, once, instead of silently dispatching slow.
+                    # A live pool forced the shm backend; falling back to
+                    # inline re-introduces the per-shard pickle — say so,
+                    # once, instead of silently dispatching slow.
                     _warn_shm_fallback(exc)
                 return cls.publish(values, backend="inline")
             target = np.ndarray(
@@ -340,28 +327,6 @@ class TraceStore:
     def process(self, *, bin_width: float = 1.0, unit: str = "units/bin") -> RateProcess:
         return RateProcess(self._values, bin_width=bin_width, unit=unit)
 
-    def untrack(self) -> None:
-        """Drop this segment's resource-tracker registration (no-op for
-        segment-less backends).
-
-        For segments whose lifetime is coordinated explicitly across a
-        process pair — the prefetch sidecar publishes, the parent copies
-        and acknowledges, the sidecar closes.  Pre-3.13 ``SharedMemory``
-        registers every *create and attach* with a fork-shared tracker
-        whose cache is a set, so the duplicate registrations collapse
-        and one unregister per segment goes unmatched — a cosmetic but
-        noisy ``KeyError`` traceback in the tracker process.
-        ``untrack`` right after publish keeps every tracker operation
-        protocol-ordered and paired (:meth:`close` re-registers just
-        before unlink to balance unlink's unconditional unregister).
-        The cost: a sidecar killed before closing may leak its untracked
-        in-flight segments (bounded by the prefetch depth) until the
-        host clears ``/dev/shm``.
-        """
-        if self._segment is not None and not self._untracked:
-            self._untracked = True
-            _tracker_call("unregister", self._segment._name)
-
     # ------------------------------------------------------------- lifetime
     def close(self) -> None:
         """Release the published buffer (idempotent).
@@ -375,11 +340,6 @@ class TraceStore:
             _PUBLISHED.pop(self._token, None)
             self._token = None
         if self._segment is not None:
-            if self._untracked:
-                # unlink() unregisters unconditionally; restore the
-                # registration first so the pair stays balanced.
-                self._untracked = False
-                _tracker_call("register", self._segment._name)
             # Drop our own buffer view first, or it would block
             # segment.close() (BufferError) and the mapping would persist
             # for the process lifetime on platforms where unlink alone

@@ -237,7 +237,7 @@ class TestCleanShutdown:
 
         monkeypatch.setattr(campaign_module, "evaluate_cell", _evaluate)
         before = signal.getsignal(signal.SIGTERM)
-        with pool_runtime(workers=2) as rt:
+        with pool_runtime() as rt:
             with pytest.raises(KeyboardInterrupt):
                 # schedule="ensembles": the monkeypatched evaluate_cell
                 # must run in the parent for the SIGTERM to interrupt
@@ -256,7 +256,7 @@ class TestCleanShutdown:
             raise KeyboardInterrupt
 
         monkeypatch.setattr(campaign_module, "evaluate_cell", _evaluate)
-        with pool_runtime(workers=2) as rt:
+        with pool_runtime() as rt:
             run_shards(_noop, [(0,), (1,)], workers=2)
             assert rt.has_live_pool()
             with pytest.raises(KeyboardInterrupt):

@@ -172,3 +172,37 @@ class TestTraceFigures:
             np.asarray(panel.series["systematic"]), 1e-12
         )
         assert np.median(ratio) < 10.0
+
+
+def _cli(*args, env=None):
+    """Run ``python -m repro.experiments`` from the repo root."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent
+    return subprocess.run(
+        [sys.executable, "-m", "repro.experiments", *args],
+        capture_output=True, text=True, cwd=root,
+        env={**os.environ, "PYTHONPATH": str(root / "src"), **(env or {})},
+    )
+
+
+class TestCLIErrors:
+    """A user error exits 2 with one ``error:`` line, not a traceback."""
+
+    def test_malformed_env_knob(self):
+        proc = _cli("runtime", env={"REPRO_WORKERS": "abc"})
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            "error: invalid REPRO_WORKERS='abc': expected an int >= 1 "
+            "(unset the variable for the serial default)"
+        ]
+
+    def test_scale_too_small_for_a_panel(self):
+        proc = _cli("run", "all", "--scale", "0.01")
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            "error: panel 'fig05b' has an empty x grid"
+        ]

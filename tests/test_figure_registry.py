@@ -98,7 +98,7 @@ def test_persistent_runtime_bit_identical(name, baseline):
     fig05/fig18 route Monte-Carlo ensembles through the engine (the
     second call publishes *after* the pool forked, forcing the
     attach-by-name path); fig21 is a ``parallel_rows`` figure, whose row
-    dispatch must keep fresh-forking under an active runtime.
+    dispatch must restart the session pool so its workers see the spec.
     """
     from repro.parallel import pool_runtime
 

@@ -132,7 +132,7 @@ def test_pool_start_method_is_real():
 
 class TestPersistentPoolDeterminism:
     """A multi-call session on the persistent runtime is bit-identical to
-    fresh-pool and serial runs — the PR 4 acceptance pin."""
+    call-scoped-pool and serial runs — the PR 4 acceptance pin."""
 
     def test_multi_call_session_bit_identical(self):
         import numpy as np

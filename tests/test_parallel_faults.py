@@ -1,7 +1,7 @@
 """Supervised dispatch: worker-loss recovery, deadlines, retry budgets.
 
-Pins the PR 6 tentpole contracts on both pool paths (fresh and
-persistent): a killed worker loses only its own shards and the retry is
+Pins the PR 6 tentpole contracts on both runtime scopes (call-scoped
+and session): a killed worker loses only its own shards and the retry is
 bit-identical; a shard that blows its deadline is re-dispatched; an
 exhausted budget raises :class:`RetryBudgetError` *and leaves the
 session usable* (the pool is recycled, not poisoned); a worker
@@ -114,12 +114,14 @@ class TestRetryPolicy:
             set_retry_policy(before)
 
 
-# -------------------------------------------------- fresh-pool supervision
+# ------------------------------------------ call-scoped-pool supervision
 class TestFreshPoolRecovery:
+    """Bare calls: each dispatch runs on its own call-scoped runtime."""
+
     def test_kill_recovery_is_bit_identical(self):
         with fault_plan("kill:shard=1"):
             got = run_shards(_square, [(i,) for i in range(4)],
-                             workers=2, fresh_pool=True, policy=FAST)
+                             workers=2, policy=FAST)
         assert got == [0, 1, 4, 9]
 
     def test_deadline_retry_recovers_a_hung_shard(self):
@@ -128,7 +130,7 @@ class TestFreshPoolRecovery:
         start = time.monotonic()
         with fault_plan("delay:shard=0:seconds=5"):
             got = run_shards(_square, [(i,) for i in range(3)],
-                             workers=2, fresh_pool=True, policy=deadline)
+                             workers=2, policy=deadline)
         elapsed = time.monotonic() - start
         assert got == [0, 1, 4]
         # The 5 s injected hang must have been abandoned, not waited out.
@@ -138,12 +140,12 @@ class TestFreshPoolRecovery:
         with fault_plan("kill:shard=1:attempt=*"):
             with pytest.raises(RetryBudgetError, match="3 attempt"):
                 run_shards(_square, [(i,) for i in range(4)],
-                           workers=2, fresh_pool=True, policy=FAST)
+                           workers=2, policy=FAST)
 
     def test_worker_exception_still_propagates(self):
         with pytest.raises(ValueError, match="worker exploded on"):
             run_shards(_boom, [(i,) for i in range(4)],
-                       workers=2, fresh_pool=True, policy=FAST)
+                       workers=2, policy=FAST)
 
     def test_serial_path_ignores_kill_but_applies_delay(self):
         start = time.monotonic()
@@ -156,9 +158,10 @@ class TestFreshPoolRecovery:
         def _no_supervision(*args, **kwargs):
             raise AssertionError("max_attempts=1 must use plain starmap")
 
-        monkeypatch.setattr(executor, "_supervise", _no_supervision)
+        # Every pool dispatch goes through the runtime's starmap.
+        monkeypatch.setattr(runtime_module, "_supervise", _no_supervision)
         got = run_shards(_square, [(i,) for i in range(4)], workers=2,
-                         fresh_pool=True, policy=RetryPolicy(max_attempts=1))
+                         policy=RetryPolicy(max_attempts=1))
         assert got == [0, 1, 4, 9]
 
     def test_fault_plan_forces_supervision_onto_plain_policy(self):
@@ -166,7 +169,6 @@ class TestFreshPoolRecovery:
         dispatch must upgrade to supervision whenever shard faults exist."""
         with fault_plan("kill:shard=1"):
             got = run_shards(_square, [(i,) for i in range(4)], workers=2,
-                             fresh_pool=True,
                              policy=RetryPolicy(max_attempts=2))
         assert got == [0, 1, 4, 9]
 
@@ -174,7 +176,7 @@ class TestFreshPoolRecovery:
 # --------------------------------------------- persistent-pool supervision
 class TestRuntimeRecovery:
     def test_kill_recycles_pool_and_session_survives(self):
-        with pool_runtime(workers=2) as rt:
+        with pool_runtime() as rt:
             with fault_plan("kill:shard=1"):
                 got = run_shards(_square, [(i,) for i in range(4)],
                                  workers=2, policy=FAST)
@@ -188,7 +190,7 @@ class TestRuntimeRecovery:
             assert rt.forks == 2
 
     def test_budget_exhaustion_does_not_poison_the_session(self):
-        with pool_runtime(workers=2):
+        with pool_runtime():
             with fault_plan("kill:shard=1:attempt=*"):
                 with pytest.raises(RetryBudgetError):
                     run_shards(_square, [(i,) for i in range(4)],
@@ -198,7 +200,7 @@ class TestRuntimeRecovery:
             assert got == [0, 1, 4, 9]
 
     def test_healthy_supervised_dispatch_forks_once(self):
-        with pool_runtime(workers=2) as rt:
+        with pool_runtime() as rt:
             for _ in range(3):
                 got = run_shards(_square, [(i,) for i in range(4)],
                                  workers=2, policy=FAST)

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import ParameterError
-from repro.parallel.plan import JointPlan, ScaleSlice, Shard, ShardPlan
+from repro.parallel.plan import Shard, ShardPlan
 
 
 class TestShard:
@@ -58,81 +58,6 @@ class TestShardPlan:
     def test_slices_in_order(self):
         plan = ShardPlan.split(7, 3)
         assert plan.slices() == [slice(0, 3), slice(3, 5), slice(5, 7)]
-
-
-class TestJointPlan:
-    def test_balances_mixed_costs(self):
-        # Two huge rows + a thousand tiny ones: per-scale sharding would
-        # starve two of four shards; the joint cut is perfectly even here.
-        plan = JointPlan.split([2, 1000], [500, 1], 4)
-        costs = [
-            sum(s.size * [500, 1][s.scale] for s in shard)
-            for shard in plan.shards
-        ]
-        assert costs == [500, 500, 500, 500]
-
-    def test_zero_count_scales_never_assigned(self):
-        plan = JointPlan.split([0, 8, 0], [100, 2, 7], 3)
-        assert all(s.scale == 1 for shard in plan.shards for s in shard)
-
-    def test_all_empty_gives_empty_plan(self):
-        plan = JointPlan.split([0, 0], [4, 8], 4)
-        assert plan.n_shards == 0
-        assert plan.shards == ()
-
-    def test_fewer_rows_than_workers(self):
-        plan = JointPlan.split([1, 1], [10, 10], 8)
-        assert plan.n_shards == 2
-
-    def test_tasks_are_plain_tuples(self):
-        plan = JointPlan.split([4], [2], 2)
-        assert plan.tasks() == [((0, 0, 2),), ((0, 2, 4),)]
-
-    def test_mismatched_grids_rejected(self):
-        with pytest.raises(ParameterError, match="scales"):
-            JointPlan.split([1, 2], [3], 2)
-
-    def test_invalid_values_rejected(self):
-        with pytest.raises(ParameterError, match="non-negative"):
-            JointPlan.split([-1], [2], 2)
-        with pytest.raises(ParameterError, match="cost"):
-            JointPlan.split([4], [0], 2)
-        with pytest.raises(ParameterError, match="workers"):
-            JointPlan.split([4], [2], 0)
-
-    def test_malformed_scale_slice_rejected(self):
-        with pytest.raises(ParameterError, match="malformed"):
-            ScaleSlice(scale=0, start=5, stop=2)
-        with pytest.raises(ParameterError, match="malformed"):
-            ScaleSlice(scale=-1, start=0, stop=2)
-
-
-@given(
-    counts=st.lists(st.integers(min_value=0, max_value=64), min_size=1, max_size=6),
-    costs=st.lists(st.integers(min_value=1, max_value=512), min_size=6, max_size=6),
-    workers=st.integers(min_value=1, max_value=9),
-)
-def test_joint_plan_partitions_exactly(counts, costs, workers):
-    """Every scale's rows are tiled exactly once, in order, and no shard
-    exceeds the ideal cost by more than one row of the costliest scale."""
-    costs = costs[: len(counts)]
-    plan = JointPlan.split(counts, costs, workers)
-    seen = {i: 0 for i in range(len(counts))}
-    for shard in plan.shards:
-        assert shard  # empty shards are dropped from the plan
-        for s in shard:
-            assert s.start == seen[s.scale]
-            seen[s.scale] = s.stop
-    for i, c in enumerate(counts):
-        assert seen[i] == c
-    total = sum(c * w for c, w in zip(counts, costs))
-    assert plan.total_cost == total
-    if plan.n_shards:
-        ideal = total / plan.n_shards
-        worst = max(costs)
-        for shard in plan.shards:
-            cost = sum(s.size * costs[s.scale] for s in shard)
-            assert cost <= ideal + worst
 
 
 @given(

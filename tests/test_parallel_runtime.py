@@ -1,33 +1,31 @@
 """PoolRuntime: the session-scoped persistent worker pool.
 
-Pins the PR 4 tentpole contracts: one fork amortized across calls,
-recycle on config change, idle teardown, loud serial degradation when no
-pool can be created, and — the trace-visibility half — publishes made
-*after* the pool forked switch to the attach-by-name ``shm`` backend so
-persistent workers still see the parent's bits.
+Pins the runtime contracts: one fork amortized across calls, recycle on
+config change, a call-scoped pool for bare calls that leaves no worker
+behind, loud serial degradation when no pool can be created, and — the
+trace-visibility half — publishes made *after* the pool forked switch
+to the attach-by-name ``shm`` backend so persistent workers still see
+the parent's bits.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-import time
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-import repro.parallel.executor as executor
 import repro.parallel.runtime as runtime_module
-from repro.errors import ParameterError
-from repro.parallel import (
-    PoolRuntime,
-    active_runtime,
-    pool_runtime,
-    run_shards,
-    start_runtime,
-    stop_runtime,
+from repro.parallel import active_runtime, pool_runtime, run_shards
+from repro.parallel.runtime import (
+    attach_preferred,
+    ensure_runtime,
+    runtime_mode_from_env,
 )
-from repro.parallel.runtime import attach_preferred, runtime_mode_from_env
 from repro.trace.store import _PUBLISHED, TraceStore
 
 SEED = 20260726
@@ -85,14 +83,13 @@ class TestPoolReuse:
             assert active_runtime() is outer
         assert active_runtime() is None
 
-    def test_start_stop_runtime(self):
-        rt = start_runtime(workers=2)
-        try:
-            assert active_runtime() is rt
-        finally:
-            stop_runtime()
+    def test_ensure_runtime_reuses_or_scopes(self):
+        with ensure_runtime() as scoped:
+            assert active_runtime() is scoped
+            assert not scoped.has_live_pool()  # lazy: nothing forked
+            with ensure_runtime() as inner:
+                assert inner is scoped
         assert active_runtime() is None
-        stop_runtime()  # idempotent
 
     def test_grow_on_bigger_request_recycles(self):
         with pool_runtime() as rt:
@@ -103,11 +100,6 @@ class TestPoolReuse:
             assert rt.pool_size == 4
             run_shards(_pid, [(1,), (2,)], workers=2)
             assert rt.forks == 2  # smaller requests reuse the larger pool
-
-    def test_workers_cap_respected(self):
-        with pool_runtime(workers=2) as rt:
-            run_shards(_pid, [(i,) for i in range(8)], workers=6)
-            assert rt.pool_size == 2
 
     def test_worker_exceptions_propagate_and_pool_survives(self):
         with pool_runtime() as rt:
@@ -124,12 +116,6 @@ class TestPoolReuse:
             run_shards(_pid, [(1,), (2,)], workers=2)
             assert rt.forks == 2
 
-    def test_invalid_config_rejected(self):
-        with pytest.raises(ParameterError, match="workers"):
-            PoolRuntime(0)
-        with pytest.raises(ParameterError, match="idle_timeout"):
-            PoolRuntime(idle_timeout=0)
-
     def test_small_dispatch_does_not_grow_pool(self):
         """A 2-task call at workers=8 must not recycle a 2-process pool."""
         with pool_runtime() as rt:
@@ -140,6 +126,19 @@ class TestPoolReuse:
             assert rt.pool_size == 2
 
 
+class TestCallScopedPool:
+    """A bare ``run_shards`` outside any runtime scope forks its own pool
+    and tears it down before returning."""
+
+    def test_bare_call_leaves_no_workers_behind(self):
+        assert active_runtime() is None
+        assert run_shards(_double, [(i,) for i in range(4)], workers=2) == [
+            0, 2, 4, 6,
+        ]
+        assert active_runtime() is None
+        assert multiprocessing.active_children() == []
+
+
 class TestForkedChildren:
     """A forked child inherits the runtime global but must never use it:
     the pool's handler threads did not survive the fork."""
@@ -148,17 +147,16 @@ class TestForkedChildren:
         with pool_runtime() as rt:
             run_shards(_pid, [(1,), (2,)], workers=2)  # pool live in parent
             assert rt.has_live_pool()
-            # Fresh-forked children (the parallel_rows path) fork while
-            # the pool is live; active_runtime() must be None for them.
+            # The pool's workers forked with the runtime global set;
+            # active_runtime() must be None for them.
             assert run_shards(
-                _child_runtime_state, [(1,), (2,)],
-                workers=2, fresh_pool=True,
+                _child_runtime_state, [(1,), (2,)], workers=2,
             ) == [True, True]
 
     def test_nested_dispatch_degrades_serially_not_deadlocks(self):
         with pool_runtime():
             results = run_shards(
-                _nested_run_shards, [(1,), (5,)], workers=2, fresh_pool=True
+                _nested_run_shards, [(1,), (5,)], workers=2
             )
         assert results == [[2, 4], [10, 12]]
 
@@ -167,20 +165,6 @@ class TestForkedChildren:
             monkeypatch.setattr(rt, "_owner_pid", os.getpid() + 1)
             assert active_runtime() is None
             assert not attach_preferred()
-
-
-class TestIdleTeardown:
-    def test_pool_torn_down_after_idle_and_reforked_on_use(self):
-        with pool_runtime(idle_timeout=0.15) as rt:
-            run_shards(_pid, [(1,), (2,)], workers=2)
-            assert rt.has_live_pool()
-            deadline = time.monotonic() + 5.0
-            while rt.has_live_pool() and time.monotonic() < deadline:
-                time.sleep(0.02)
-            assert not rt.has_live_pool(), "idle teardown never fired"
-            # The next region simply re-forks; results are unaffected.
-            assert run_shards(_pid, [(1,), (2,)], workers=2)
-            assert rt.forks == 2
 
 
 class TestSerialDegradation:
@@ -241,25 +225,51 @@ class TestAttachByName:
                 assert total == expected
 
 
-class TestRuntimeModeEnv:
-    def test_unset_means_fresh(self, monkeypatch):
-        monkeypatch.delenv("REPRO_RUNTIME", raising=False)
-        assert runtime_mode_from_env() == "fresh"
+#: Runs in a fresh interpreter: the resource tracker is a separate
+#: process whose complaints only show on the interpreter's stderr.
+TRACKER_PROBE = """
+import numpy as np
 
-    @pytest.mark.parametrize("raw", ["persistent", "POOL", " Persistent "])
-    def test_persistent_values(self, monkeypatch, raw):
-        monkeypatch.setenv("REPRO_RUNTIME", raw)
-        assert runtime_mode_from_env() == "persistent"
+from repro.parallel import pool_runtime, run_shards
+from repro.trace.store import TraceStore
 
-    @pytest.mark.parametrize("raw", ["fresh", "fork", ""])
-    def test_fresh_values(self, monkeypatch, raw):
-        monkeypatch.setenv("REPRO_RUNTIME", raw)
-        assert runtime_mode_from_env() == "fresh"
 
-    def test_unknown_runtime_raises_naming_the_variable(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RUNTIME", "turbo")
-        with pytest.raises(ParameterError, match="REPRO_RUNTIME"):
-            runtime_mode_from_env()
+def total(handle):
+    return float(handle.values().sum())
+
+
+values = np.arange(4096.0)
+# Start this process's resource tracker before any pool forks, so the
+# pool's workers share it.
+TraceStore.publish(values, backend="shm").close()
+with pool_runtime():
+    run_shards(abs, [(1,), (2,)], workers=2)
+    with TraceStore.publish(values) as store:  # live pool: attach by name
+        assert store.handle.kind == "shm"
+        assert run_shards(total, [(store.handle,), (store.handle,)],
+                          workers=2) == [float(values.sum())] * 2
+print("ok")
+"""
+
+
+def test_worker_attach_keeps_the_parent_tracker_registration(tmp_path):
+    """Workers sharing the parent's resource tracker must not drop the
+    parent's registration of a segment they attach to; if they do, the
+    parent's unlink makes the tracker print a KeyError traceback."""
+    script = tmp_path / "probe.py"
+    script.write_text(TRACKER_PROBE)
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, str(script)], capture_output=True, text=True,
+        cwd=root, env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
+    assert "KeyError" not in proc.stderr
+
+
+def test_runtime_mode_reports_the_persistent_pool():
+    assert runtime_mode_from_env() == "persistent"
 
 
 def test_module_state_clean():

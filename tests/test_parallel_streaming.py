@@ -5,14 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import (
-    ParameterError,
-    RetryBudgetError,
-    TraceFormatError,
-)
-from repro.parallel.executor import RetryPolicy
+from repro.errors import ParameterError
 from repro.parallel.streaming import (
-    TraceChunkSource,
     chunked,
     parallel_chunk_tail_probabilities,
     prefetch_backend_from_env,
@@ -23,7 +17,7 @@ from repro.parallel.streaming import (
     streamed_trace_size_moments,
 )
 from repro.queueing.simulation import queue_occupancy, tail_probabilities
-from repro.trace.io import iter_trace_chunks, write_trace
+from repro.trace.io import write_trace
 from repro.trace.packet import PacketTrace
 
 
@@ -237,154 +231,21 @@ class TestPrefetchChunks:
         assert plain == piped
 
 
-class TestProcessPrefetch:
-    """Sidecar-process decode: same chunks, supervised, leak-free."""
-
-    @pytest.fixture(autouse=True)
-    def no_stale_warning_latch(self, monkeypatch):
-        import repro.utils.once as once
-
-        monkeypatch.setattr(once, "_SEEN", set())
-
-    def write(self, tmp_path, suffix, n=500):
-        path = tmp_path / f"t{suffix}"
-        write_trace(_trace(n), path)
-        return path
-
-    def kill_sidecar(self):
-        """SIGKILL the prefetch sidecar once it exists (returns pid)."""
-        import multiprocessing
-        import os
-        import signal
-        import time
-
-        deadline = time.monotonic() + 10.0
-        while time.monotonic() < deadline:
-            for child in multiprocessing.active_children():
-                if child.name == "repro-chunk-prefetch" and child.pid:
-                    os.kill(child.pid, signal.SIGKILL)
-                    return child.pid
-            time.sleep(0.01)
-        raise AssertionError("prefetch sidecar never appeared")
-
-    @pytest.mark.parametrize("suffix", [".csv", ".rpt"])
-    def test_yields_identical_chunks(self, tmp_path, suffix):
-        path = self.write(tmp_path, suffix)
-        source = TraceChunkSource(str(path), chunk_size=64)
-        out = list(prefetch_chunks(source, backend="process"))
-        ref = list(iter_trace_chunks(path, chunk_size=64))
-        assert len(out) == len(ref)
-        for a, b in zip(out, ref):
-            assert a == b
-
-    def test_requires_reiterable_source(self):
-        with pytest.raises(ParameterError, match="TraceChunkSource"):
-            prefetch_chunks(iter([np.ones(3)]), backend="process")
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ParameterError, match="backend"):
-            prefetch_chunks(iter([]), backend="fibers")
-
-    def test_moments_identical_across_backends(self, tmp_path):
-        path = self.write(tmp_path, ".csv")
-        plain = streamed_trace_size_moments(path, chunk_size=64,
-                                            pipelined=False)
-        threaded = streamed_trace_size_moments(path, chunk_size=64,
-                                               backend="thread")
-        sidecar = streamed_trace_size_moments(path, chunk_size=64,
-                                              backend="process")
-        assert plain == threaded == sidecar
-
-    def test_consumer_can_stop_early(self, tmp_path):
-        path = self.write(tmp_path, ".rpt", n=2000)
-        gen = prefetch_chunks(
-            TraceChunkSource(str(path), chunk_size=16), backend="process"
-        )
-        first = next(gen)
-        assert len(first) == 16
-        gen.close()  # must neither hang nor leak (leak check below)
-
-    def test_killed_sidecar_recovers_with_identical_stream(self, tmp_path):
-        path = self.write(tmp_path, ".csv", n=600)
-        source = TraceChunkSource(str(path), chunk_size=50)
-        ref = list(iter_trace_chunks(path, chunk_size=50))
-        gen = prefetch_chunks(
-            source, backend="process",
-            policy=RetryPolicy(max_attempts=3, backoff_base=0.01),
-        )
-        out = [next(gen)]
-        self.kill_sidecar()
-        out.extend(gen)
-        assert len(out) == len(ref)
-        for a, b in zip(out, ref):
-            assert a == b
-
-    def test_retry_budget_exhaustion(self, tmp_path):
-        import threading
-
-        path = self.write(tmp_path, ".csv", n=600)
-        source = TraceChunkSource(str(path), chunk_size=50)
-        gen = prefetch_chunks(
-            source, backend="process",
-            policy=RetryPolicy(max_attempts=1, backoff_base=0.01),
-        )
-        next(gen)
-        killer = threading.Thread(target=self.kill_sidecar)
-        killer.start()
-        with pytest.raises(RetryBudgetError, match="sidecar"):
-            list(gen)
-        killer.join()
-
-    def test_source_error_propagates_with_reference_message(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("# repro-trace v1\n1.0,1,2,40,6\n2.0,zap,2,40,6\n")
-        gen = prefetch_chunks(
-            TraceChunkSource(str(path), chunk_size=1), backend="process"
-        )
-        assert len(next(gen)) == 1
-        with pytest.raises(TraceFormatError, match=r"bad\.csv:3: "):
-            list(gen)
-
-    def test_fallback_to_thread_when_no_fork(self, tmp_path, monkeypatch):
-        import repro.parallel.streaming as streaming
-
-        path = self.write(tmp_path, ".rpt", n=120)
-        monkeypatch.setattr(
-            streaming.multiprocessing, "get_all_start_methods",
-            lambda: ["spawn"],
-        )
-        source = TraceChunkSource(str(path), chunk_size=32)
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            out = list(prefetch_chunks(source, backend="process"))
-        ref = list(iter_trace_chunks(path, chunk_size=32))
-        assert len(out) == len(ref)
-        for a, b in zip(out, ref):
-            assert a == b
-
-    def test_no_shm_segments_leak(self, tmp_path):
-        import glob
-
-        before = set(glob.glob("/dev/shm/repro_*"))
-        path = self.write(tmp_path, ".csv", n=400)
-        source = TraceChunkSource(str(path), chunk_size=32)
-        list(prefetch_chunks(source, backend="process"))
-        gen = prefetch_chunks(source, backend="process")
-        next(gen)
-        gen.close()
-        assert set(glob.glob("/dev/shm/repro_*")) == before
-
-
 class TestPrefetchBackendEnv:
-    def test_default_is_thread(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PREFETCH", raising=False)
+    """The thread read-ahead is the only backend, reported and accepted."""
+
+    def test_default_is_thread(self):
         assert prefetch_backend_from_env() == "thread"
 
-    @pytest.mark.parametrize("value", ["thread", "process", " PROCESS "])
-    def test_valid_values(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_PREFETCH", value)
-        assert prefetch_backend_from_env() == value.strip().lower()
+    def test_other_backends_rejected(self, tmp_path):
+        path = tmp_path / "t.rpt"
+        write_trace(_trace(50), path)
+        with pytest.raises(ParameterError, match="backend"):
+            streamed_trace_size_moments(path, backend="process")
 
-    def test_malformed_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PREFETCH", "sidecar")
-        with pytest.raises(ParameterError, match="REPRO_PREFETCH"):
-            prefetch_backend_from_env()
+    def test_thread_backend_matches_sync_fold(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_trace(_trace(500), path)
+        assert streamed_trace_size_moments(
+            path, chunk_size=64, backend="thread"
+        ) == streamed_trace_size_moments(path, chunk_size=64, pipelined=False)

@@ -10,10 +10,14 @@ injected cell-worker kills routed through retry and quarantine.
 from __future__ import annotations
 
 import json
+import multiprocessing
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import repro.faults as faults
+import repro.obs as obs
 import repro.parallel.executor as executor
 from repro.errors import ParameterError
 from repro.faults import fault_plan
@@ -41,7 +45,7 @@ from repro.scenarios import (
     run_campaign,
 )
 from repro.scenarios.registry import _REGISTRY
-from repro.scenarios.schedule import ROUND_FACTOR, iter_cell_results
+from repro.scenarios.schedule import ROUND_FACTOR, _cut_rounds, iter_cell_results
 
 SEED = 20260726
 BUILTINS = available_scenarios()
@@ -227,6 +231,23 @@ class TestPlanner:
         assert plan.rounds == ()
 
 
+@given(
+    costs=st.lists(st.integers(min_value=1, max_value=64), min_size=1,
+                   max_size=60),
+    n_rounds=st.integers(min_value=1, max_value=60),
+)
+def test_cut_rounds_tile_the_cost_line(costs, n_rounds):
+    """Rounds tile the cells contiguously in canonical order, and no round
+    exceeds its share of the cost line by more than one cell's cost."""
+    n_rounds = min(n_rounds, len(costs))
+    rounds = _cut_rounds(costs, n_rounds)
+    assert [i for round_ in rounds for i in round_] == list(range(len(costs)))
+    assert all(rounds) and len(rounds) <= n_rounds
+    ideal = sum(costs) / n_rounds
+    for round_ in rounds:
+        assert sum(costs[i] for i in round_) <= ideal + max(costs)
+
+
 # ------------------------------------------------- out-of-order completion
 class TestCompletionOrder:
     def test_scrambled_round_yields_in_canonical_order(self, mini_registered):
@@ -269,6 +290,19 @@ class TestByteIdentity:
                         resume=True, workers=1, schedule="ensembles")
         assert resumed.executed == finished.executed == 1
         assert _store_bytes(resumed) == _store_bytes(finished)
+
+
+# ----------------------------------------------------------- pool lifetime
+class TestPoolLifetime:
+    def test_cells_campaign_forks_one_pool_and_leaves_none(self, tmp_path):
+        """Every scheduler round reuses the campaign's one pool, which is
+        closed before ``run_campaign`` returns."""
+        with obs.telemetry() as collector:
+            summary = _run(None, tmp_path, smoke=True, workers=2,
+                           schedule="cells", campaign="lifetime")
+        assert summary.executed == summary.n_cells
+        assert collector.counters["executor.pool_forks"] == 1
+        assert multiprocessing.active_children() == []
 
 
 # -------------------------------------------------- faults and quarantine
