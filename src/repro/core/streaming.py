@@ -6,11 +6,21 @@ sampling beats *time-driven* sampling.  This module provides both flavours
 as single-pass decision machines: call :meth:`offer` once per packet, get
 back whether the packet is sampled.  :func:`apply_sampler` runs one over a
 whole :class:`~repro.trace.packet.PacketTrace`.
+
+:meth:`PacketSampler.offer_batch` is the batch form of :meth:`offer`: it
+decides a whole column of packets at once and leaves the sampler in
+exactly the state the equivalent run of ``offer`` calls would (same
+decisions, same random draws in the same order), so batch and
+per-packet calls can be interleaved freely.  Every built-in sampler
+implements it with array arithmetic; a subclass that does not inherits
+a loop over :meth:`offer`.  :func:`_reference_apply_sampler` keeps the
+original per-packet loop as the parity oracle.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from bisect import bisect_left
 
 import numpy as np
 
@@ -25,13 +35,33 @@ from repro.utils.validation import (
 
 
 class PacketSampler(ABC):
-    """Single-pass per-packet sampling decision machine."""
+    """Single-pass per-packet sampling decision machine.
+
+    Subclasses implement :meth:`offer`; they may override
+    :meth:`offer_batch` with a vectorized equivalent, which must return
+    the decisions ``offer`` would and advance the sampler's state
+    (counters, clocks, random generator) exactly as those calls would.
+    """
 
     name: str = "packet_sampler"
 
     @abstractmethod
     def offer(self, timestamp: float, size: int) -> bool:
         """Decide whether the packet observed now is sampled."""
+
+    def offer_batch(self, timestamps: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+        """Boolean mask of sampled packets, one per ``(timestamp, size)``.
+
+        Equivalent to calling :meth:`offer` on each packet in order.
+        """
+        return np.fromiter(
+            (
+                self.offer(float(ts), int(size))
+                for ts, size in zip(timestamps, sizes)
+            ),
+            dtype=bool,
+            count=len(timestamps),
+        )
 
     def reset(self) -> None:
         """Restore initial state (default: nothing to reset)."""
@@ -56,6 +86,12 @@ class CountSystematicSampler(PacketSampler):
     def offer(self, timestamp: float, size: int) -> bool:
         self._count += 1
         return self._count % self._period == self._offset
+
+    def offer_batch(self, timestamps: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+        first = self._count + 1
+        self._count += len(timestamps)
+        index = np.arange(first, self._count + 1, dtype=np.int64)
+        return index % self._period == self._offset
 
     def reset(self) -> None:
         self._count = -1
@@ -82,6 +118,38 @@ class TimeSystematicSampler(PacketSampler):
             return True
         return False
 
+    def offer_batch(self, timestamps: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+        timestamps = np.asarray(timestamps, dtype=np.float64)
+        tick = self._next_tick
+        if (
+            np.isnan(timestamps).any()
+            or np.any(timestamps[1:] < timestamps[:-1])
+            or tick != tick  # a NaN tick left by an earlier NaN clock
+        ):
+            # The tick search needs a sorted, NaN-free clock.
+            return super().offer_batch(timestamps, sizes)
+        clock = timestamps.tolist()
+        picked = []
+        i = 0
+        if tick is None and clock:
+            tick = clock[0] + self._period
+            picked.append(0)
+            i = 1
+        # Jump straight to the first packet at or past each tick; the
+        # tick arithmetic is offer()'s, on the same Python floats.
+        while tick is not None:
+            i = bisect_left(clock, tick, i)
+            if i >= len(clock):
+                break
+            missed = int((clock[i] - tick) // self._period)
+            tick += (missed + 1) * self._period
+            picked.append(i)
+            i += 1
+        self._next_tick = tick
+        mask = np.zeros(len(clock), dtype=bool)
+        mask[picked] = True
+        return mask
+
     def reset(self) -> None:
         self._next_tick = None
 
@@ -105,6 +173,23 @@ class CountStratifiedSampler(PacketSampler):
             self._chosen = int(self._rng.integers(0, self._period))
         return take
 
+    def offer_batch(self, timestamps: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+        n = len(timestamps)
+        mask = np.zeros(n, dtype=bool)
+        i = 0  # batch index of the packet at window position self._position
+        while True:
+            pick = i + self._chosen - self._position
+            if i <= pick < n:
+                mask[pick] = True
+            window_end = i + self._period - self._position
+            if window_end > n:
+                self._position += n - i
+                return mask
+            # The window completes inside the batch: one redraw, as offer().
+            i = window_end
+            self._position = 0
+            self._chosen = int(self._rng.integers(0, self._period))
+
     def reset(self) -> None:
         self._position = 0
         self._chosen = int(self._rng.integers(0, self._period))
@@ -121,6 +206,9 @@ class BernoulliPacketSampler(PacketSampler):
 
     def offer(self, timestamp: float, size: int) -> bool:
         return bool(self._rng.random() < self._rate)
+
+    def offer_batch(self, timestamps: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+        return self._rng.random(len(timestamps)) < self._rate
 
 
 class SizeBiasedSampler(PacketSampler):
@@ -142,17 +230,27 @@ class SizeBiasedSampler(PacketSampler):
         p = min(size / self._threshold, 1.0)
         return bool(self._rng.random() < p)
 
+    def offer_batch(self, timestamps: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+        p = np.minimum(np.asarray(sizes, dtype=np.float64) / self._threshold, 1.0)
+        return self._rng.random(p.size) < p
+
 
 def apply_sampler(sampler: PacketSampler, trace: PacketTrace) -> PacketTrace:
     """Run a packet sampler over a trace; returns the sampled sub-trace."""
     if len(trace) == 0:
         return trace
-    decisions = np.fromiter(
-        (
-            sampler.offer(float(ts), int(size))
-            for ts, size in zip(trace.timestamps, trace.sizes)
-        ),
-        dtype=bool,
-        count=len(trace),
+    return trace.select(sampler.offer_batch(trace.timestamps, trace.sizes))
+
+
+def _reference_apply_sampler(
+    sampler: PacketSampler, trace: PacketTrace
+) -> PacketTrace:
+    """The per-packet ``offer`` loop: the batch methods' parity oracle.
+
+    Runs the base class's ``offer_batch`` whatever the sampler overrides.
+    """
+    if len(trace) == 0:
+        return trace
+    return trace.select(
+        PacketSampler.offer_batch(sampler, trace.timestamps, trace.sizes)
     )
-    return trace.select(decisions)

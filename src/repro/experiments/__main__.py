@@ -6,7 +6,7 @@ Usage::
     python -m repro.experiments run fig18 [--scale 0.5] [--seed 1] [--workers 4]
     python -m repro.experiments run all   [--scale 0.25] [--workers 2]
     python -m repro.experiments run fig18 [--kernels on] [--telemetry on]
-    python -m repro.experiments bench [--quick] [--workers 4] [--output BENCH_PR10.json]
+    python -m repro.experiments bench [--quick] [--workers 4] [--output BENCH_PR14.json]
     python -m repro.experiments runtime
     python -m repro.experiments scenarios list
     python -m repro.experiments scenarios run [NAME ...] [--smoke] [--resume]
@@ -108,7 +108,7 @@ def main(argv=None) -> int:
     bench.add_argument("--quick", action="store_true",
                        help="1/8-scale smoke-test mode (finishes in seconds)")
     bench.add_argument("--output", default=None,
-                       help="JSON report path (default BENCH_PR10.json)")
+                       help="JSON report path (default BENCH_PR14.json)")
     bench.add_argument("--seed", type=int, default=None,
                        help="override the benchmark workload seed")
     bench.add_argument("--workers", type=int, default=None,

@@ -14,7 +14,7 @@ Entry points
 
 ``--quick`` shrinks the traces so the whole suite finishes in well under
 30 s — suitable for smoke-testing; the full run writes the repo's perf
-trajectory record (``BENCH_PR10.json``).  ``--workers N`` additionally
+trajectory record (``BENCH_PR14.json``).  ``--workers N`` additionally
 times the sharded ensemble engine (:mod:`repro.parallel`) at
 ``workers=N`` against the identical ``workers=1`` computation and
 records the scaling rows in the report.  Every run also records the
@@ -27,7 +27,11 @@ scheduler (``schedule="cells"``) against the serial campaign loop.  The
 ``ingest_throughput`` family times the native-speed tier: block CSV
 decoding vs the per-line reference parser and the binary format vs
 CSV — these rows carry ``mb_per_s`` and ``packets_per_s`` alongside
-the speedup.  When numba is installed
+the speedup.  The ``packet path`` rows time the packet-level pipeline's
+vectorized layers against their loops: :func:`packetize` vs the per-bin
+reference, the bulk CSV writer vs a row-at-a-time writer (with
+``mb_per_s``), and batch ``offer_batch`` sampling vs the per-packet
+``offer`` loop.  When numba is installed
 a ``bss_replay_kernel`` row times the compiled replay tail against the
 pure-NumPy path (bit-identical results).  The JSON header carries
 machine metadata (CPU count, platform, pool start method) so
@@ -51,6 +55,11 @@ import numpy as np
 
 from repro.core.adaptive import AdaptiveRandomSampler
 from repro.core.bss import BiasedSystematicSampler
+from repro.core.streaming import (
+    CountSystematicSampler,
+    _reference_apply_sampler,
+    apply_sampler,
+)
 from repro.core.stratified import StratifiedSampler
 from repro.core.systematic import SystematicSampler
 from repro.core.variance import _reference_instance_means, instance_means
@@ -84,10 +93,13 @@ from repro.queueing.simulation import (
 from repro.trace.io import (
     _iter_csv_chunks,
     _reference_iter_csv_chunks,
+    _reference_write_csv,
     iter_trace_chunks,
     write_binary,
     write_csv,
 )
+from repro.traffic.arrivals import _reference_packetize, packetize, zipf_weights
+from repro.traffic.belllabs import BellLabsLikeTrace
 from repro.traffic.synthetic import (
     fgn_trace,
     synthetic_packet_trace,
@@ -98,7 +110,7 @@ from repro.traffic.synthetic import (
 BENCH_SEED = 20260726
 
 #: Default output file, recording this PR's perf trajectory point.
-DEFAULT_OUTPUT = "BENCH_PR10.json"
+DEFAULT_OUTPUT = "BENCH_PR14.json"
 
 
 @dataclass(frozen=True)
@@ -410,6 +422,44 @@ def run_benchmarks(*, quick: bool = False, seed: int = BENCH_SEED, workers: int 
             lambda: _drain(iter_trace_chunks(csv_path,
                                              chunk_size=chunk_packets)),
             repeats=repeats, bytes_processed=rpt_bytes,
+        ))
+
+        # --- packet path: the capture pipeline's vectorized layers ------
+        # Each fast side against the loop it replaced; outputs, generator
+        # states and file bytes are identical (tests/test_perf_parity.py),
+        # so every ratio is pure speed.  The volumes are the Bell-Labs-like
+        # capture's f(t) at 10 ms bins (~22 packets per bin).
+        capture = BellLabsLikeTrace(bin_width=0.01, mean_rate=1.21e6)
+        n_bins = 1 << 12 if quick else 1 << 15
+        volumes = capture.byte_process(n_bins, seed + 5).values
+        pairs = capture.od_pairs(seed + 6)
+        od_weights = zipf_weights(len(pairs), capture.zipf_exponent)
+
+        def _packetize(fn):
+            return fn(volumes, capture.bin_width, od_pairs=pairs,
+                      od_weights=od_weights, rng=seed + 7)
+
+        results.append(_time_pair(
+            "packetize_vs_reference", len(_packetize(packetize)),
+            lambda: _packetize(packetize),
+            lambda: _packetize(_reference_packetize),
+            repeats=repeats,
+        ))
+        write_path = Path(tmp) / "write.csv"
+        results.append(_time_pair(
+            "csv_write_vs_reference", n_packets,
+            lambda: write_csv(packet_trace, write_path),
+            lambda: _reference_write_csv(packet_trace, write_path),
+            repeats=repeats, bytes_processed=csv_bytes,
+        ))
+        # The capture workload's 1-in-100 count sampler; a fresh sampler
+        # per call so both sides decide from the same initial state.
+        results.append(_time_pair(
+            "apply_sampler_batch_vs_offer", n_packets,
+            lambda: apply_sampler(CountSystematicSampler(100), packet_trace),
+            lambda: _reference_apply_sampler(
+                CountSystematicSampler(100), packet_trace),
+            repeats=repeats,
         ))
 
     # --- scenario campaigns: result-store overhead per cell --------------

@@ -37,8 +37,31 @@ from repro.queueing.simulation import (
     queue_occupancy,
     tail_probabilities,
 )
-from repro.trace.io import _RECORD, read_binary, write_binary, write_csv
+from repro.core.streaming import (
+    BernoulliPacketSampler,
+    CountStratifiedSampler,
+    CountSystematicSampler,
+    SizeBiasedSampler,
+    TimeSystematicSampler,
+    _reference_apply_sampler,
+    apply_sampler,
+)
+from repro.trace.io import (
+    _CSV_CHUNK,
+    _RECORD,
+    _reference_write_csv,
+    read_binary,
+    write_binary,
+    write_csv,
+)
 from repro.trace.packet import PacketTrace
+from repro.traffic.arrivals import (
+    _PACKETIZE_BLOCK,
+    PacketSizeMix,
+    _reference_packetize,
+    packetize,
+    zipf_weights,
+)
 from repro.traffic.synthetic import fgn_trace, synthetic_trace
 
 
@@ -408,6 +431,29 @@ class TestTraceIoParity:
         write_csv(packet_trace, path)
         assert path.read_text(encoding="utf-8") == _loop_csv_lines(packet_trace)
 
+    def test_csv_longer_than_one_chunk(self, tmp_path):
+        """Full and partial writer chunks, uint32-max ids, 1e4+ clocks."""
+        rng = np.random.default_rng(7)
+        n = _CSV_CHUNK + 1234
+        sources = rng.integers(0, 2**32, n, dtype=np.uint64).astype(np.uint32)
+        sources[::1000] = np.iinfo(np.uint32).max
+        destinations = sources[::-1].copy()
+        trace = PacketTrace(
+            timestamps=1e4 + np.sort(rng.random(n)) * 1e5,
+            sources=sources,
+            destinations=destinations,
+            sizes=rng.integers(0, 2**16, n).astype(np.uint32),
+            protocols=rng.integers(0, 256, n).astype(np.uint8),
+        )
+        path = tmp_path / "t.csv"
+        write_csv(trace, path)
+        assert path.read_text(encoding="utf-8") == _loop_csv_lines(trace)
+
+    def test_reference_writer_matches_loop_format(self, packet_trace, tmp_path):
+        path = tmp_path / "t.csv"
+        _reference_write_csv(packet_trace, path)
+        assert path.read_text(encoding="utf-8") == _loop_csv_lines(packet_trace)
+
     def test_binary_bytes_match_struct_loop(self, packet_trace, tmp_path):
         path = tmp_path / "t.rpt"
         write_binary(packet_trace, path)
@@ -419,3 +465,131 @@ class TestTraceIoParity:
         )
         assert data == expected
         assert read_binary(path) == packet_trace
+
+
+# -------------------------------------------------------------- packetize
+def assert_same_packetize(volumes, *, seed=11, **kwargs):
+    """Fast vs reference: same trace and same caller generator state."""
+    fast_gen = np.random.default_rng(seed)
+    ref_gen = np.random.default_rng(seed)
+    fast = packetize(volumes, 0.01, rng=fast_gen, **kwargs)
+    ref = _reference_packetize(volumes, 0.01, rng=ref_gen, **kwargs)
+    assert fast == ref
+    assert fast_gen.bit_generator.state == ref_gen.bit_generator.state
+    return fast
+
+
+class TestPacketizeParity:
+    def test_all_zero_bins(self):
+        assert len(assert_same_packetize(np.zeros(100))) == 0
+
+    def test_no_bins(self):
+        assert len(assert_same_packetize(np.array([]))) == 0
+
+    def test_sub_threshold_runs_carry_forward(self):
+        """Bins under min(size)/2 emit nothing until the carry crosses it."""
+        volumes = np.tile([0.0, 7.0, 5.0, 9.0, 3.0], 400)
+        trace = assert_same_packetize(volumes)
+        assert 0 < len(trace) < np.count_nonzero(volumes)
+
+    def test_heavy_bin_hits_extension_loop(self):
+        # A bin with a 1e6-byte target after 40-byte bins: the first
+        # draw is sized by the mean, so a skewed mix needs extensions.
+        mix = PacketSizeMix(sizes=(40, 9000), weights=(0.999, 0.001))
+        volumes = np.array([40.0, 1e6, 80.0, 3e5, 0.0])
+        assert_same_packetize(volumes, size_mix=mix)
+
+    def test_volumes_span_block_boundaries(self):
+        rng = np.random.default_rng(3)
+        volumes = rng.pareto(1.5, 2 * _PACKETIZE_BLOCK + 17) * 2000.0
+        volumes[_PACKETIZE_BLOCK - 3 : _PACKETIZE_BLOCK + 3] = 9.0
+        assert_same_packetize(volumes)
+
+    def test_one_pair(self):
+        volumes = np.random.default_rng(4).random(500) * 20_000.0
+        assert_same_packetize(volumes, od_pairs=[(5, 9)], t0=1e4)
+
+    def test_zipf_pairs(self):
+        pairs = [(i, i + 1) for i in range(50)]
+        volumes = np.random.default_rng(5).random(700) * 30_000.0
+        assert_same_packetize(
+            volumes, od_pairs=pairs, od_weights=zipf_weights(50, 1.2)
+        )
+
+    def test_zero_weight_entries(self):
+        mix = PacketSizeMix(sizes=(64, 1500, 9000), weights=(0.3, 0.0, 0.7))
+        volumes = np.random.default_rng(6).random(300) * 50_000.0
+        assert_same_packetize(
+            volumes, size_mix=mix, od_pairs=[(1, 2), (2, 3)], od_weights=[0, 1]
+        )
+
+
+# ---------------------------------------------------------- packet samplers
+def _sampler_trace(n: int, seed: int) -> PacketTrace:
+    """Sorted clock with a tie run and an idle gap; the tri-modal mix."""
+    rng = np.random.default_rng(seed)
+    timestamps = rng.exponential(0.01, n).cumsum()
+    if n:
+        timestamps[n // 3 : n // 3 + 40] = timestamps[n // 3]
+        timestamps[n // 2 :] += 5.0
+    sizes = rng.choice([40, 576, 1500], n)
+    return PacketTrace(timestamps, np.ones(n), np.full(n, 2), sizes)
+
+
+PACKET_SAMPLERS = {
+    "count_systematic": lambda: CountSystematicSampler(7, offset=3),
+    "count_systematic_every": lambda: CountSystematicSampler(1),
+    "time_systematic": lambda: TimeSystematicSampler(0.05),
+    "time_systematic_dense": lambda: TimeSystematicSampler(1e-4),
+    "count_stratified": lambda: CountStratifiedSampler(10, rng=3),
+    "count_stratified_wide": lambda: CountStratifiedSampler(700, rng=3),
+    "bernoulli": lambda: BernoulliPacketSampler(0.1, rng=4),
+    "size_biased": lambda: SizeBiasedSampler(1000.0, rng=5),
+}
+
+
+def _sampler_state(sampler) -> dict:
+    state = dict(vars(sampler))
+    rng = state.pop("_rng", None)
+    if rng is not None:
+        state["_rng"] = rng.bit_generator.state
+    return state
+
+
+class TestPacketSamplerParity:
+    @pytest.mark.parametrize("kind", sorted(PACKET_SAMPLERS))
+    def test_batch_matches_offer_loop(self, kind):
+        batch, loop = PACKET_SAMPLERS[kind](), PACKET_SAMPLERS[kind]()
+        trace = _sampler_trace(3000, 1)
+        assert apply_sampler(batch, trace) == _reference_apply_sampler(loop, trace)
+        assert _sampler_state(batch) == _sampler_state(loop)
+
+    @pytest.mark.parametrize("kind", sorted(PACKET_SAMPLERS))
+    def test_state_carries_across_calls_and_reset(self, kind):
+        batch, loop = PACKET_SAMPLERS[kind](), PACKET_SAMPLERS[kind]()
+        for step, n in enumerate((13, 1, 0, 2000, 1, 699)):
+            trace = _sampler_trace(n, step)
+            if step == 4:
+                batch.reset()
+                loop.reset()
+            assert apply_sampler(batch, trace) == _reference_apply_sampler(
+                loop, trace
+            )
+            assert _sampler_state(batch) == _sampler_state(loop)
+
+    @pytest.mark.parametrize(
+        "clocks",
+        [
+            [[0.0, 0.3, 0.1, 0.9, 0.5, 2.0]],  # unsorted
+            [[0.0, 0.4, np.nan, 0.9], [1.0, 2.0]],  # NaN inside the clock
+            [[np.nan], [0.5, 1.0]],  # a NaN first packet leaves a NaN tick
+        ],
+    )
+    def test_time_systematic_irregular_clock_falls_back(self, clocks):
+        batch, loop = TimeSystematicSampler(0.25), TimeSystematicSampler(0.25)
+        for clock in clocks:
+            timestamps = np.array(clock)
+            sizes = np.full(timestamps.size, 100)
+            expected = [loop.offer(float(t), 100) for t in timestamps]
+            assert batch.offer_batch(timestamps, sizes).tolist() == expected
+            assert str(_sampler_state(batch)) == str(_sampler_state(loop))

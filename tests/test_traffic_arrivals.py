@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,14 @@ class TestPacketSizeMix:
             PacketSizeMix(sizes=(-5,), weights=(1.0,))
         with pytest.raises(ParameterError):
             PacketSizeMix(sizes=(40,), weights=(0.0,))
+
+    @pytest.mark.parametrize(
+        "weights",
+        [(float("nan"), 1.0, 1.0), (float("inf"), 1.0, 1.0), (1.0, -0.5, 1.0)],
+    )
+    def test_rejects_non_finite_or_negative_weights(self, weights):
+        with pytest.raises(ParameterError, match="weights"):
+            PacketSizeMix(weights=weights)
 
 
 class TestZipfWeights:
@@ -100,6 +110,31 @@ class TestPacketize:
                 np.array([100.0]), 1.0,
                 od_pairs=[(1, 2)], od_weights=[0.5, 0.5], rng=rng,
             )
+
+    @pytest.mark.parametrize(
+        "weights",
+        [[0.0, 0.0], [-1.0, 2.0], [float("nan"), 1.0], [float("inf"), 1.0]],
+    )
+    def test_rejects_bad_od_weights_before_any_draw(self, weights):
+        gen = np.random.default_rng(3)
+        before = gen.bit_generator.state
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="od_weights"):
+                packetize(
+                    np.array([5000.0, 8000.0]), 1.0,
+                    od_pairs=[(1, 2), (3, 4)], od_weights=weights, rng=gen,
+                )
+        assert gen.bit_generator.state == before
+
+    def test_rejects_empty_od_pairs(self, rng):
+        with pytest.raises(ParameterError, match="od_pairs"):
+            packetize(np.array([100.0]), 1.0, od_pairs=[], rng=rng)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_volume(self, rng, bad):
+        with pytest.raises(ParameterError, match="finite"):
+            packetize(np.array([100.0, bad]), 1.0, rng=rng)
 
     def test_heavy_bin_not_truncated(self, rng):
         """A bin far above the mean must still receive its full volume."""
