@@ -5,7 +5,7 @@ Usage::
     python -m repro.experiments list
     python -m repro.experiments run fig18 [--scale 0.5] [--seed 1] [--workers 4]
     python -m repro.experiments run all   [--scale 0.25] [--workers 2]
-    python -m repro.experiments run fig18 [--kernels on] [--telemetry on]
+    python -m repro.experiments run fig18 [--telemetry on]
     python -m repro.experiments bench [--quick] [--workers 4] [--output BENCH_PR14.json]
     python -m repro.experiments runtime
     python -m repro.experiments scenarios list
@@ -18,17 +18,16 @@ Usage::
 ``--workers`` wins over the ``REPRO_WORKERS`` environment variable,
 which sets the session default; results never depend on either.  One
 worker pool, forked on first need, serves every figure/campaign cell of
-a run.  ``--kernels on`` (or ``REPRO_KERNELS=on``) enables the
-optional compiled BSS replay kernel — bit-identical results, faster
-replay tails when numba is installed, silently pure-NumPy when it is
-not.  ``--schedule`` (or ``REPRO_SCHEDULE``) picks where parallelism
+a run.  ``--schedule`` (or ``REPRO_SCHEDULE``) picks where parallelism
 sits: ``ensembles`` shards inside each cell/row, ``cells`` shards the
 campaign's pending-cell list (or a panel's independent rows) across the
 pool, and ``auto`` — the default — decides per workload; stores and
 figures are byte-identical in every mode.  The ``runtime`` subcommand
-prints the parallel + native-tier configuration this machine and
-environment would run with, each knob annotated with its provenance
-(default / env / context / cli).
+prints the parallel configuration this machine and environment would
+run with, one line per :mod:`repro.config` knob annotated with its
+provenance (default / env / context / cli).  A malformed ``REPRO_*``
+variable fails ``run``, ``bench`` and ``scenarios run`` before any
+work starts, unless the matching flag overrides it.
 
 ``--telemetry on`` (or ``REPRO_TELEMETRY=on``) records span traces,
 metrics, and structured events through :mod:`repro.obs`; campaigns also
@@ -56,6 +55,7 @@ import os
 import sys
 import time
 
+from repro.config import SCHEDULE_MODES
 from repro.experiments.runner import (
     available_experiments,
     execution_scope,
@@ -80,12 +80,7 @@ def main(argv=None) -> int:
                         help="shard ensembles over N worker processes "
                              "(results are identical for any N; overrides "
                              "the REPRO_WORKERS env default)")
-    runner.add_argument("--kernels", choices=("on", "off"), default=None,
-                        help="enable the optional compiled BSS replay "
-                             "kernel (bit-identical results; pure NumPy "
-                             "when numba is absent).  Default comes from "
-                             "REPRO_KERNELS (else off)")
-    runner.add_argument("--schedule", choices=("auto", "cells", "ensembles"),
+    runner.add_argument("--schedule", choices=SCHEDULE_MODES,
                         default=None,
                         help="where parallelism sits: 'ensembles' shards "
                              "inside each panel row, 'cells' interleaves "
@@ -114,10 +109,6 @@ def main(argv=None) -> int:
     bench.add_argument("--workers", type=int, default=None,
                        help="also record workers=1 vs workers=N parallel-"
                             "scaling rows for the sharded ensemble engine")
-    bench.add_argument("--kernels", choices=("on", "off"), default=None,
-                       help="run the suite with the compiled kernel tier "
-                            "enabled/disabled (the dedicated kernel row "
-                            "times both regardless)")
     bench.add_argument("--telemetry", choices=("on", "off"), default=None,
                        help="run the suite with telemetry recording "
                             "enabled/disabled (the overhead row times both "
@@ -150,11 +141,7 @@ def main(argv=None) -> int:
     scen_run.add_argument("--workers", type=int, default=None,
                           help="shard every cell ensemble over N workers "
                                "(results identical for any N)")
-    scen_run.add_argument("--kernels", choices=("on", "off"), default=None,
-                          help="compiled BSS replay kernel tier (results "
-                               "identical; default from REPRO_KERNELS)")
-    scen_run.add_argument("--schedule",
-                          choices=("auto", "cells", "ensembles"),
+    scen_run.add_argument("--schedule", choices=SCHEDULE_MODES,
                           default=None,
                           help="'cells' shards the campaign's pending-cell "
                                "list across the pool, 'ensembles' "
@@ -229,8 +216,7 @@ def main(argv=None) -> int:
             bench_argv.extend(["--seed", str(args.seed)])
         if args.workers is not None:
             bench_argv.extend(["--workers", str(args.workers)])
-        with execution_scope(kernels=_on_off(args.kernels),
-                             telemetry=_on_off(args.telemetry)):
+        with execution_scope(telemetry=_on_off(args.telemetry)):
             return bench_main(bench_argv)
 
     if args.command == "scenarios":
@@ -240,8 +226,7 @@ def main(argv=None) -> int:
     # One scope keeps one pool alive across *all* requested figures —
     # the fork cost is paid once per session, not per figure (and not
     # per panel cell).  Outputs are identical.
-    with execution_scope(workers=args.workers, kernels=_on_off(args.kernels),
-                         schedule=args.schedule,
+    with execution_scope(workers=args.workers, schedule=args.schedule,
                          telemetry=_on_off(args.telemetry)):
         for name in names:
             start = time.perf_counter()
@@ -267,40 +252,21 @@ def _runtime_main() -> int:
     ``context``, or ``cli``), so a surprising setting is traceable to
     the environment variable or scope that set it.
     """
-    import repro.obs as obs
-    from repro.kernels import (
-        kernels_enabled,
-        kernels_provenance,
-        numba_available,
-    )
+    from repro import config
     from repro.parallel import (
-        get_default_schedule,
-        get_default_workers,
         pool_start_method,
-        schedule_provenance,
         sharing_enabled,
         suggested_workers,
-        workers_provenance,
     )
 
-    def _env(var: str) -> str:
-        return f"({var}={os.environ.get(var, 'unset')})"
-
+    config.resolve_all()  # a malformed variable fails before any output
     print(f"cpu_count:          {os.cpu_count()}")
     print(f"suggested_workers:  {suggested_workers()}")
     print(f"pool_start_method:  {pool_start_method()}")
-    print(f"default_workers:    {get_default_workers()} "
-          f"[{workers_provenance()}] {_env('REPRO_WORKERS')}")
-    print(f"schedule:           {get_default_schedule()} "
-          f"[{schedule_provenance()}] {_env('REPRO_SCHEDULE')}")
     print(f"trace_sharing:      {'on' if sharing_enabled() else 'off'} "
           f"[default]")
-    print(f"kernels:            {'on' if kernels_enabled() else 'off'} "
-          f"[{kernels_provenance()}] {_env('REPRO_KERNELS')}, "
-          f"numba={'present' if numba_available() else 'absent'}")
-    print(f"telemetry:          "
-          f"{'on' if obs.telemetry_enabled() else 'off'} "
-          f"[{obs.telemetry_provenance()}] {_env('REPRO_TELEMETRY')}")
+    for knob in config.KNOBS:
+        print(f"{knob.name + ':':<20}{config.describe(knob.name)}")
     return 0
 
 
@@ -357,8 +323,6 @@ def _scenarios_main(args) -> int:
 
     import contextlib
 
-    from repro.faults import fault_plan
-
     campaign = args.campaign or ("smoke" if args.smoke else "full")
     kwargs = {}
     if args.seed is not None:
@@ -374,12 +338,6 @@ def _scenarios_main(args) -> int:
             ),
             shard_deadline=args.shard_deadline,
         )
-    # --faults scopes a plan (and shard numbering) to this one campaign;
-    # without it any REPRO_FAULTS session plan applies as-is.
-    faults_scope = (
-        fault_plan(args.faults) if args.faults is not None
-        else contextlib.nullcontext()
-    )
     if args.profile is not None:
         import repro.obs as obs
 
@@ -387,11 +345,12 @@ def _scenarios_main(args) -> int:
     else:
         profile_scope = contextlib.nullcontext()
     start = time.perf_counter()
-    with faults_scope, profile_scope, \
-            execution_scope(workers=args.workers,
-                            kernels=_on_off(args.kernels),
-                            schedule=args.schedule,
-                            telemetry=_on_off(args.telemetry)):
+    # --faults scopes a plan (and shard numbering) to this one campaign;
+    # without it any REPRO_FAULTS session plan applies as-is.
+    with profile_scope, \
+            execution_scope(workers=args.workers, schedule=args.schedule,
+                            telemetry=_on_off(args.telemetry),
+                            faults=args.faults):
         summary = run_campaign(
             args.names or None,
             campaign=campaign,

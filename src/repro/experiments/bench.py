@@ -31,9 +31,7 @@ the speedup.  The ``packet path`` rows time the packet-level pipeline's
 vectorized layers against their loops: :func:`packetize` vs the per-bin
 reference, the bulk CSV writer vs a row-at-a-time writer (with
 ``mb_per_s``), and batch ``offer_batch`` sampling vs the per-packet
-``offer`` loop.  When numba is installed
-a ``bss_replay_kernel`` row times the compiled replay tail against the
-pure-NumPy path (bit-identical results).  The JSON header carries
+``offer`` loop.  The JSON header carries
 machine metadata (CPU count, platform, pool start method) so
 cross-machine ``BENCH_*`` comparisons are interpretable — on a
 single-core container every parallel/prefetch row is an overhead
@@ -82,7 +80,6 @@ from repro.parallel.executor import (
     retry_policy,
     trace_sharing,
 )
-from repro.kernels import kernels, numba_available
 from repro.parallel.runtime import ensure_runtime
 from repro.parallel.streaming import streamed_trace_size_moments
 from repro.queueing.simulation import (
@@ -212,23 +209,6 @@ def run_benchmarks(*, quick: bool = False, seed: int = BENCH_SEED, workers: int 
         lambda: bss_dense._reference_sample(pareto),
         repeats=repeats,
     ))
-    # Optional compiled tier: the numba replay kernel vs the pure-NumPy
-    # path on the same heavy-trigger workload (bit-identical results —
-    # the row exists only where numba is installed).
-    if numba_available():
-        def _bss_compiled():
-            with kernels(True):
-                return bss_dense.sample(pareto)
-
-        def _bss_pure():
-            with kernels(False):
-                return bss_dense.sample(pareto)
-
-        _bss_compiled()  # compile outside the timed region
-        results.append(_time_pair(
-            "bss_replay_kernel_vs_numpy", sampler_n,
-            _bss_compiled, _bss_pure, repeats=repeats,
-        ))
 
     adaptive = AdaptiveRandomSampler(base_rate=0.01)
     results.append(_time_pair(

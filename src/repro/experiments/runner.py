@@ -78,36 +78,39 @@ def median_instance_means(
 
 
 @contextlib.contextmanager
-def execution_scope(*, workers: int | None = None, kernels: bool | None = None,
-                    schedule: str | None = None, telemetry: bool | None = None):
-    """The CLI's run context: workers default + pool runtime + kernels.
+def execution_scope(*, workers: int | None = None, schedule: str | None = None,
+                    telemetry: bool | None = None, faults: str | None = None):
+    """The run context every harness entry point shares.
 
-    One scope serves every harness entry point (figure runs, scenario
-    campaigns, the bench): one lazily forked worker pool serves every
-    parallel region inside it (reusing an already active runtime),
-    ``workers`` becomes the session sharding default for the block,
-    ``kernels=True`` enables the optional compiled tier (``None``
-    consults ``REPRO_KERNELS``), ``schedule`` sets the session
-    cell-scheduling mode — ``"cells"``, ``"ensembles"``, or ``"auto"``
-    (``None`` consults ``REPRO_SCHEDULE``), and
-    ``telemetry=True`` turns on span/metric recording for the block
-    (``None`` consults ``REPRO_TELEMETRY``).  Results never depend on
-    any of them — the scope is purely a wall-clock lever.
+    Figure runs, scenario campaigns and the bench each enter one scope.
+    Inside it, one lazily forked worker pool serves every parallel
+    region (an already active runtime is reused).  Each argument is one
+    :mod:`repro.config` knob passed explicitly — ``workers`` (sharding
+    default), ``schedule`` (``"cells"``, ``"ensembles"`` or ``"auto"``),
+    ``telemetry`` (span/metric recording) and ``faults`` (a fault-plan
+    string) — and ``None`` defers to the knob's ``REPRO_*`` variable.
+    Every deferred knob is read before the scope yields, so a malformed
+    variable fails the run before any work starts, while an explicit
+    value beats a malformed one.  Results never depend on any knob: the
+    scope is purely a wall-clock lever.
     """
     import repro.obs as obs
-    from repro.kernels import kernels as kernels_scope
+    from repro import config
+    from repro.faults import fault_plan
     from repro.parallel import default_schedule, default_workers
     from repro.parallel.runtime import ensure_runtime
 
-    kernel_scope = (
-        kernels_scope(kernels) if kernels is not None
-        else contextlib.nullcontext()
-    )
+    passed = {"workers": workers, "schedule": schedule,
+              "telemetry": telemetry, "faults": faults}
+    config.resolve_all({name for name, v in passed.items() if v is not None})
     telemetry_scope = (
         obs.telemetry(telemetry) if telemetry is not None
         else contextlib.nullcontext()
     )
-    with ensure_runtime(), kernel_scope, default_workers(workers), \
+    faults_scope = (
+        fault_plan(faults) if faults is not None else contextlib.nullcontext()
+    )
+    with faults_scope, ensure_runtime(), default_workers(workers), \
             default_schedule(schedule), telemetry_scope:
         yield
 

@@ -13,10 +13,11 @@ Activation, in precedence order:
 1. the :func:`fault_plan` context manager (what tests and the
    ``--faults`` CLI flag use), which also resets the session shard
    counter so directives address shards relative to the scope's start;
-2. the ``REPRO_FAULTS`` environment variable, parsed lazily on first
-   consultation (malformed values raise
-   :class:`~repro.errors.ParameterError` naming the variable — a user
-   who asked for chaos must not silently get a fault-free run).
+2. the ``REPRO_FAULTS`` environment variable, an entry of the
+   :mod:`repro.config` knob table, parsed lazily on first consultation
+   (malformed values raise :class:`~repro.errors.ParameterError` naming
+   the variable — a user who asked for chaos must not silently get a
+   fault-free run).
 
 The executor consults :func:`active_plan` per dispatch and claims shard
 indices through :func:`next_shard_base`; the campaign store consults
@@ -33,10 +34,9 @@ to the fault-free ``workers=1`` run.
 from __future__ import annotations
 
 import contextlib
-import os
 import threading
 
-from repro.errors import ParameterError
+from repro import config
 from repro.faults.plan import (
     KILL_EXIT_CODE,
     FaultDirective,
@@ -58,26 +58,8 @@ __all__ = [
 ]
 
 
-#: Session fault plan: None = not yet resolved from REPRO_FAULTS,
-#: False = resolved to "no faults" (so the env is read exactly once).
-_SESSION_PLAN: FaultPlan | bool | None = None
-
-#: Plan pushed by the fault_plan() context (overrides the session plan).
-_CONTEXT_PLAN: FaultPlan | None = None
-_CONTEXT_ACTIVE = False
-
 _COUNTER_LOCK = threading.Lock()
 _SHARD_COUNTER = 0
-
-
-def _plan_from_env() -> FaultPlan | bool:
-    raw = os.environ.get("REPRO_FAULTS")
-    if raw is None or not raw.strip():
-        return False
-    try:
-        return parse_faults(raw)
-    except ParameterError as exc:
-        raise ParameterError(f"invalid REPRO_FAULTS={raw!r}: {exc}") from None
 
 
 def active_plan() -> FaultPlan | None:
@@ -88,12 +70,7 @@ def active_plan() -> FaultPlan | None:
     inside a chaos session); otherwise the ``REPRO_FAULTS`` session
     plan applies, parsed on first use.
     """
-    global _SESSION_PLAN
-    if _CONTEXT_ACTIVE:
-        return _CONTEXT_PLAN
-    if _SESSION_PLAN is None:
-        _SESSION_PLAN = _plan_from_env()
-    return _SESSION_PLAN or None
+    return config.get("faults")
 
 
 def next_shard_base(n_tasks: int) -> int:
@@ -124,20 +101,19 @@ def fault_plan(spec: str | FaultPlan | None):
 
     ``spec`` may be a grammar string, a pre-built :class:`FaultPlan`, or
     ``None`` to force a fault-free scope (masking any ``REPRO_FAULTS``
-    session plan).  Entering a scope resets the global shard counter so
-    directives address shards counted from the scope's start; the
+    session plan).  The plan occupies the ``faults`` knob-table slot for
+    the scope; entering also resets the global shard counter so
+    directives address shards counted from the scope's start.  The
     previous counter and plan are restored on exit, so scopes nest.
     """
-    global _CONTEXT_PLAN, _CONTEXT_ACTIVE, _SHARD_COUNTER
+    global _SHARD_COUNTER
     plan = parse_faults(spec) if isinstance(spec, str) else spec
-    previous = (_CONTEXT_PLAN, _CONTEXT_ACTIVE)
     with _COUNTER_LOCK:
         previous_counter = _SHARD_COUNTER
         _SHARD_COUNTER = 0
-    _CONTEXT_PLAN, _CONTEXT_ACTIVE = plan, True
     try:
-        yield plan
+        with config.override("faults", plan):
+            yield plan
     finally:
-        _CONTEXT_PLAN, _CONTEXT_ACTIVE = previous
         with _COUNTER_LOCK:
             _SHARD_COUNTER = previous_counter

@@ -1,198 +1,12 @@
-"""Optional compiled kernels: an opt-in native tier over the NumPy core.
-
-The reproduction's compute paths are vectorized NumPy with the original
-loops kept as ``_reference_*`` oracles.  One hot path resists
-vectorization: the BSS heavy-trigger *replay tail*
-(:meth:`repro.core.bss.BiasedSystematicSampler._online_threshold_extras`),
-where every accepted extra feeds the very threshold that judges the next
-one — an inherently scalar recurrence.  This module compiles exactly
-that recurrence with numba when the user asks for it, and changes
-nothing otherwise:
-
-* The pure-NumPy path stays the default; ``import repro`` never imports
-  numba.
-* Kernels switch on via the ``REPRO_KERNELS`` environment variable
-  (``on``/``off``, read lazily like ``REPRO_WORKERS``) or the
-  :func:`kernels` context manager / CLI ``--kernels`` flag.
-* Enabled-but-unavailable degrades to the pure path with a one-time
-  :class:`RuntimeWarning`, mirroring the worker pool's fallback idiom.
-* The compiled replay is bit-identical to the pure path: identical
-  float64 operations in identical order under strict IEEE semantics
-  (no fastmath), pinned by ``tests/test_perf_parity.py``.
-"""
-
-from __future__ import annotations
-
-import contextlib
-import os
-
-from repro.errors import ParameterError
-from repro.utils.once import warn_once
-
-_ENV_VAR = "REPRO_KERNELS"
-
-#: Context-manager overrides; the innermost wins over the environment.
-_OVERRIDES: list[bool] = []
-
-#: Cached numba availability probe (None = not yet probed).
-_NUMBA: bool | None = None
-
-#: ``warn_once`` key for the kernels-without-numba diagnostic.
-NUMBA_MISSING_KEY = "kernels.numba-missing"
-
-
-def numba_available() -> bool:
-    """True if numba imports; probed lazily, at most once per process."""
-    global _NUMBA
-    if _NUMBA is None:
-        try:
-            import numba  # noqa: F401 — availability probe only
-
-            _NUMBA = True
-        except ImportError:
-            _NUMBA = False
-    return _NUMBA
-
-
-def _enabled_from_env() -> bool:
-    raw = os.environ.get(_ENV_VAR)
-    if raw is None:
-        return False
-    value = raw.strip().lower()
-    if value in ("on", "1", "true", "yes"):
-        return True
-    if value in ("off", "0", "false", "no", ""):
-        return False
-    raise ParameterError(
-        f"{_ENV_VAR} must be 'on' or 'off', got {raw!r}"
-    )
+"""Knob-reporting shims: the optional compiled tier was removed; these stay
+because ``perfbench/child.py`` still probes them."""
 
 
 def kernels_enabled() -> bool:
-    """Whether compiled kernels are requested for the current scope.
-
-    A :func:`kernels` context override wins over ``REPRO_KERNELS``;
-    with neither, kernels are off and the pure-NumPy path runs.  This
-    reports the *request* — :func:`bss_replay_kernel` additionally
-    requires numba to actually be importable.
-    """
-    if _OVERRIDES:
-        return _OVERRIDES[-1]
-    return _enabled_from_env()
-
-
-@contextlib.contextmanager
-def kernels(enabled: bool = True):
-    """Scope the compiled-kernel toggle, overriding ``REPRO_KERNELS``.
-
-    Purely a wall-clock lever: enabling kernels never changes a result
-    (the compiled replay is pinned bit-identical), and requesting them
-    without numba installed just warns once and runs the pure path.
-    """
-    _OVERRIDES.append(bool(enabled))
-    try:
-        yield
-    finally:
-        _OVERRIDES.pop()
-
-
-def _warn_unavailable() -> None:
-    warn_once(
-        NUMBA_MISSING_KEY,
-        "REPRO_KERNELS requested compiled kernels but numba is not "
-        "installed; continuing on the pure-NumPy path (identical "
-        "results, more time)",
-        stacklevel=3,
-    )
+    """Always ``False``; kept for knob reporting."""
+    return False
 
 
 def kernels_provenance() -> str:
-    """Where the effective kernels setting came from (``runtime`` CLI)."""
-    if _OVERRIDES:
-        return "context"
-    if os.environ.get(_ENV_VAR) is not None:
-        return "env"
+    """Always ``"default"``; kept for knob reporting."""
     return "default"
-
-
-_REPLAY_KERNEL = None
-
-
-def _replay_tail(
-    values,
-    reg_idx,
-    reg_val,
-    offsets,
-    start,
-    running_sum,
-    running_count,
-    threshold,
-    eps,
-    out_idx,
-    out_val,
-):
-    """The BSS replay-tail recurrence, in numba's nopython subset.
-
-    Mirrors the pure replay in ``_online_threshold_extras`` operation
-    for operation: accumulate the regular value, re-gather the
-    interval's extras when it triggers, accept each extra against the
-    *current* threshold, and fold the threshold once per interval.
-    Out-of-range extras terminate the inner scan exactly like the pure
-    path's ``extra_t >= n`` break.  Kept as a plain module-level
-    function so tests pin the algorithm interpreted even where numba is
-    absent; :func:`_compile_replay_kernel` jits this very object.
-    """
-    n = values.shape[0]
-    m = reg_val.shape[0]
-    k = offsets.shape[0]
-    count = 0
-    for r in range(start, m):
-        value = reg_val[r]
-        running_sum += value
-        running_count += 1
-        if value > threshold:
-            base = reg_idx[r]
-            for c in range(k):
-                extra_t = base + offsets[c]
-                if extra_t >= n:
-                    break
-                extra_v = values[extra_t]
-                if extra_v > threshold:
-                    out_idx[count] = extra_t
-                    out_val[count] = extra_v
-                    running_sum += extra_v
-                    running_count += 1
-                    count += 1
-        threshold = eps * running_sum / running_count
-    return count
-
-
-def _compile_replay_kernel():
-    """Jit-compile :func:`_replay_tail` (no fastmath: bit-exact).
-
-    numba's default strict IEEE-754 semantics keep every float64
-    operation identical to the interpreted loop, so compilation is
-    purely a wall-clock change.
-    """
-    from numba import njit
-
-    return njit(cache=False)(_replay_tail)
-
-
-def bss_replay_kernel():
-    """The compiled BSS replay-tail, or ``None`` to use the pure path.
-
-    Returns a callable only when kernels are enabled for the current
-    scope *and* numba imports; compilation happens once per process,
-    on first request.  Enabled-but-missing warns once and returns
-    ``None`` so every caller degrades identically.
-    """
-    if not kernels_enabled():
-        return None
-    if not numba_available():
-        _warn_unavailable()
-        return None
-    global _REPLAY_KERNEL
-    if _REPLAY_KERNEL is None:
-        _REPLAY_KERNEL = _compile_replay_kernel()
-    return _REPLAY_KERNEL

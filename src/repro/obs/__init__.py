@@ -11,19 +11,19 @@ explicitly *excluded* from the byte-identity contracts — wall-clock
 timestamps live only there — so stores, manifests, and figures stay
 byte-identical with telemetry on or off.
 
-Activation follows the ``REPRO_KERNELS`` precedence grammar:
+Activation follows the :mod:`repro.config` knob table:
 
 * ``REPRO_TELEMETRY=on|1|true|yes`` enables the session collector;
-  ``off|0|false|no`` (or unset) disables it.  Malformed values raise
-  :class:`~repro.errors.ParameterError` naming the variable.
+  ``off|0|false|no`` (or unset, or empty) disables it.  Malformed values
+  raise :class:`~repro.errors.ParameterError` naming the variable.
 * The :func:`telemetry` context manager overrides the environment for a
   scope (innermost wins) and yields the scope's collector so tests can
   inspect captured spans in memory.
 * ``--telemetry on|off`` on the CLI sets the same context for one
   invocation; CLI beats context beats env beats the off default.
 
-Cost discipline: this module imports only the stdlib (plus
-``repro.errors``) and the heavy recording machinery in
+Cost discipline: this module imports only the stdlib (plus the
+stdlib-only :mod:`repro.config`) and the heavy recording machinery in
 :mod:`repro.obs.record` is imported lazily on first enablement — the
 telemetry-off path never imports it, and every facade below
 short-circuits on a single ``None`` check.
@@ -34,7 +34,7 @@ from __future__ import annotations
 import contextlib
 import os
 
-from repro.errors import ParameterError
+from repro import config
 
 __all__ = [
     "current_collector",
@@ -50,9 +50,6 @@ __all__ = [
     "telemetry_provenance",
 ]
 
-#: Environment variable holding the session default.
-_ENV_VAR = "REPRO_TELEMETRY"
-
 #: Context-manager override stack: each entry is a live Collector (scope
 #: forced on) or None (scope forced off).  Innermost wins.
 _OVERRIDES: list = []
@@ -63,22 +60,6 @@ _SESSION = None
 
 #: Directory worker cProfile dumps go to (None disables profiling).
 _PROFILE_DIR: str | None = None
-
-
-def _enabled_from_env() -> bool:
-    """Read ``REPRO_TELEMETRY`` with the shared on/off grammar."""
-    raw = os.environ.get(_ENV_VAR)
-    if raw is None:
-        return False
-    value = raw.strip().lower()
-    if value in ("1", "true", "on", "yes"):
-        return True
-    if value in ("0", "false", "off", "no", ""):
-        return False
-    raise ParameterError(
-        f"invalid {_ENV_VAR}={raw!r}: expected on/1/true/yes or "
-        "off/0/false/no (unset the variable for the default)"
-    )
 
 
 def current_collector():
@@ -92,7 +73,7 @@ def current_collector():
     global _SESSION
     if _OVERRIDES:
         return _OVERRIDES[-1]
-    if not _enabled_from_env():
+    if not config.get("telemetry"):
         return None
     if _SESSION is None:
         from repro.obs.record import Collector
@@ -115,9 +96,7 @@ def telemetry_provenance() -> str:
     """
     if _OVERRIDES:
         return "context"
-    if os.environ.get(_ENV_VAR) is not None:
-        return "env"
-    return "default"
+    return config.provenance("telemetry")
 
 
 @contextlib.contextmanager

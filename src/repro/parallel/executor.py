@@ -13,11 +13,13 @@ serial path — results are identical by construction, only slower — and a
 one-time :class:`RuntimeWarning` names the cause, so a silently serial
 session is diagnosable.
 
-The session default worker count starts at the ``REPRO_WORKERS``
-environment variable (1 when unset; a malformed value raises
+The session default worker count and schedule mode are entries of the
+:mod:`repro.config` knob table (``REPRO_WORKERS``, 1 when unset;
+``REPRO_SCHEDULE``, ``auto`` when unset; a malformed value raises
 :class:`~repro.errors.ParameterError` naming the variable rather than
-silently running serial); the ``--workers`` CLI flag and the
-:func:`default_workers` context override it for their scope.
+silently running serial); the ``--workers``/``--schedule`` CLI flags and
+the :func:`default_workers`/:func:`default_schedule` contexts override
+them for their scope.
 
 Fault tolerance (the supervision layer)
 ---------------------------------------
@@ -53,6 +55,8 @@ import time
 from dataclasses import dataclass
 
 import repro.obs as obs
+from repro import config
+from repro.config import SCHEDULE_MODES
 from repro.errors import (
     ParameterError,
     RetryBudgetError,
@@ -75,88 +79,36 @@ def _validate_workers(workers) -> int:
     return workers
 
 
-def _workers_from_env() -> int:
-    """Session default from ``REPRO_WORKERS`` (1 when unset).
-
-    A malformed value raises :class:`ParameterError` naming the variable:
-    a user who exported ``REPRO_WORKERS=8x`` asked for parallelism and
-    must not silently get a serial session.  The variable is read lazily
-    (first :func:`get_default_workers` call), so ``import repro`` itself
-    never fails — the first parallel-aware call does, loudly.
-    """
-    raw = os.environ.get("REPRO_WORKERS")
-    if raw is None:
-        return 1
-    try:
-        return _validate_workers(int(raw))
-    except (ValueError, ParameterError):
-        raise ParameterError(
-            f"invalid REPRO_WORKERS={raw!r}: expected an int >= 1 "
-            "(unset the variable for the serial default)"
-        ) from None
-
-
-#: Session-wide default worker count: seeded lazily from ``REPRO_WORKERS``
-#: (None = not yet read), overridden by ``--workers`` at the CLI.
-_DEFAULT_WORKERS: int | None = None
-
-#: Provenance of the session worker default, for the ``runtime`` CLI:
-#: "default", "env", "cli", or "context".
-_WORKERS_SOURCE = "default"
-
 #: When False, parallel entry points skip the zero-copy trace protocol
 #: and dispatch shard arguments by pickling (PR 2 behaviour) — kept as a
 #: benchmark control, toggled via :func:`trace_sharing`.
 _SHARE_TRACES = True
 
 
-def set_default_workers(workers: int, *, _source: str = "cli") -> None:
+def set_default_workers(workers: int) -> None:
     """Set the session default used when a call site passes ``workers=None``."""
-    global _DEFAULT_WORKERS, _WORKERS_SOURCE
-    _DEFAULT_WORKERS = _validate_workers(workers)
-    _WORKERS_SOURCE = _source
+    config.set_value("workers", _validate_workers(workers))
 
 
 def get_default_workers() -> int:
     """Current session default worker count (reads ``REPRO_WORKERS`` once)."""
-    global _DEFAULT_WORKERS, _WORKERS_SOURCE
-    if _DEFAULT_WORKERS is None:
-        _DEFAULT_WORKERS = _workers_from_env()
-        _WORKERS_SOURCE = (
-            "env" if os.environ.get("REPRO_WORKERS") is not None else "default"
-        )
-    return _DEFAULT_WORKERS
+    return config.get("workers")
 
 
 def workers_provenance() -> str:
     """Where the effective worker default came from (``runtime`` CLI)."""
-    get_default_workers()
-    return _WORKERS_SOURCE
+    return config.provenance("workers")
 
 
-@contextlib.contextmanager
 def default_workers(workers: int | None):
     """Temporarily set the session default (no-op when ``workers`` is None).
 
-    Saves and restores the raw default slot rather than resolving it, so
-    an explicit worker count wins over ``REPRO_WORKERS`` even when the
-    env value is malformed — the documented CLI-beats-env precedence.
-    The env error still fires loudly the first time the default is
-    actually *consulted* (a ``workers=None`` resolution outside any
-    override).
+    An explicit worker count wins over ``REPRO_WORKERS`` even when the
+    env value is malformed (see :func:`repro.config.override`).
     """
-    global _DEFAULT_WORKERS, _WORKERS_SOURCE
     if workers is None:
-        yield
-        return
-    previous = _DEFAULT_WORKERS  # may be the unread-env sentinel (None)
-    previous_source = _WORKERS_SOURCE
-    set_default_workers(workers, _source="context")
-    try:
-        yield
-    finally:
-        _DEFAULT_WORKERS = previous
-        _WORKERS_SOURCE = previous_source
+        return contextlib.nullcontext()
+    return config.override("workers", _validate_workers(workers))
 
 
 def resolve_workers(workers: int | None) -> int:
@@ -225,20 +177,6 @@ def sharing_enabled() -> bool:
     return _SHARE_TRACES
 
 
-#: Campaign scheduling modes — where the unit of parallel dispatch sits.
-#: ``"ensembles"`` parallelises inside each cell (the historical
-#: behaviour), ``"cells"`` shards the campaign's pending-cell list
-#: itself, ``"auto"`` lets the planner pick per campaign.
-SCHEDULE_MODES = ("auto", "cells", "ensembles")
-
-#: Session-wide schedule mode: seeded lazily from ``REPRO_SCHEDULE``
-#: (None = not yet read), overridden by ``--schedule`` at the CLI.
-_DEFAULT_SCHEDULE: str | None = None
-
-#: Provenance of the session schedule mode (see ``_WORKERS_SOURCE``).
-_SCHEDULE_SOURCE = "default"
-
-
 def _validate_schedule(mode) -> str:
     if not isinstance(mode, str) or mode not in SCHEDULE_MODES:
         raise ParameterError(
@@ -247,72 +185,27 @@ def _validate_schedule(mode) -> str:
     return mode
 
 
-def _schedule_from_env() -> str:
-    """Session default from ``REPRO_SCHEDULE`` (``"auto"`` when unset).
-
-    Same contract as ``REPRO_WORKERS``: a malformed value raises
-    :class:`ParameterError` naming the variable — a user who exported
-    ``REPRO_SCHEDULE=cell`` asked for cell scheduling and must not
-    silently get something else.  Read lazily on first consultation.
-    """
-    raw = os.environ.get("REPRO_SCHEDULE")
-    if raw is None:
-        return "auto"
-    value = raw.strip().lower()
-    if value == "":
-        return "auto"
-    if value in SCHEDULE_MODES:
-        return value
-    raise ParameterError(
-        f"invalid REPRO_SCHEDULE={raw!r}: expected one of "
-        f"{list(SCHEDULE_MODES)} (unset the variable for the 'auto' default)"
-    )
-
-
-def set_default_schedule(mode: str, *, _source: str = "cli") -> None:
+def set_default_schedule(mode: str) -> None:
     """Set the session schedule mode used when a call site passes ``None``."""
-    global _DEFAULT_SCHEDULE, _SCHEDULE_SOURCE
-    _DEFAULT_SCHEDULE = _validate_schedule(mode)
-    _SCHEDULE_SOURCE = _source
+    config.set_value("schedule", _validate_schedule(mode))
 
 
 def get_default_schedule() -> str:
     """Current session schedule mode (reads ``REPRO_SCHEDULE`` once)."""
-    global _DEFAULT_SCHEDULE, _SCHEDULE_SOURCE
-    if _DEFAULT_SCHEDULE is None:
-        _DEFAULT_SCHEDULE = _schedule_from_env()
-        _SCHEDULE_SOURCE = (
-            "env" if os.environ.get("REPRO_SCHEDULE") is not None else "default"
-        )
-    return _DEFAULT_SCHEDULE
+    return config.get("schedule")
 
 
 def schedule_provenance() -> str:
     """Where the effective schedule mode came from (``runtime`` CLI)."""
-    get_default_schedule()
-    return _SCHEDULE_SOURCE
+    return config.provenance("schedule")
 
 
-@contextlib.contextmanager
 def default_schedule(mode: str | None):
-    """Temporarily set the session schedule mode (no-op when ``None``).
-
-    Like :func:`default_workers`, the raw slot is saved and restored
-    unresolved, so an explicit mode wins over a malformed env value and
-    the env error still fires when the default is genuinely consulted.
-    """
-    global _DEFAULT_SCHEDULE, _SCHEDULE_SOURCE
+    """Temporarily set the session schedule mode (no-op when ``None``);
+    like :func:`default_workers`, an explicit mode beats a malformed env."""
     if mode is None:
-        yield
-        return
-    previous = _DEFAULT_SCHEDULE  # may be the unread-env sentinel (None)
-    previous_source = _SCHEDULE_SOURCE
-    set_default_schedule(mode, _source="context")
-    try:
-        yield
-    finally:
-        _DEFAULT_SCHEDULE = previous
-        _SCHEDULE_SOURCE = previous_source
+        return contextlib.nullcontext()
+    return config.override("schedule", _validate_schedule(mode))
 
 
 def resolve_schedule(mode: str | None) -> str:

@@ -1,13 +1,11 @@
 """One-shot session warnings, shared across the whole library.
 
-Several subsystems degrade gracefully exactly once per session — the
-executor falls back to serial shards when pools are unavailable, the
-streaming layer drops from process to thread prefetch, the kernels
-toggle warns when numba is missing.  Each used to keep its own module
-flag; :func:`warn_once` centralises the latch so the semantics ("warn
-the first time, stay quiet after, never change results") are uniform,
-and so telemetry records every degradation as a ``warning`` event even
-on the silent repeats' first occurrence.
+A subsystem that degrades gracefully says so exactly once per session —
+for example the executor, which falls back to serial shards when pools
+are unavailable.  :func:`warn_once` is the one latch, so the semantics
+("warn the first time, stay quiet after, never change results") are
+uniform, and telemetry records every degradation as a ``warning``
+event on its first occurrence.
 
 Tests reset the latch by monkeypatching a fresh ``_SEEN`` set (the
 patch restores the session state afterwards)::

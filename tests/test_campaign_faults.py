@@ -43,9 +43,7 @@ RETRY = RetryPolicy(max_attempts=2, backoff_base=0.01)
 
 
 @pytest.fixture(autouse=True)
-def _clean_fault_state(monkeypatch):
-    monkeypatch.delenv("REPRO_FAULTS", raising=False)
-    monkeypatch.setattr(faults, "_SESSION_PLAN", None)
+def _clean_fault_state():
     faults.reset_shard_counter()
     yield
     faults.reset_shard_counter()

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import config
 from repro.errors import ParameterError
 from repro.experiments import available_experiments, run_experiment
 from repro.experiments.runner import ExperimentResult
@@ -199,6 +200,24 @@ class TestCLIErrors:
             "error: invalid REPRO_WORKERS='abc': expected an int >= 1 "
             "(unset the variable for the serial default)"
         ]
+
+    MALFORMED = {"workers": "8x", "schedule": "bogus", "telemetry": "maybe",
+                 "faults": "bogus"}
+
+    @pytest.mark.parametrize("knob", config.KNOBS, ids=lambda k: k.name)
+    def test_malformed_knob_fails_run_up_front(self, knob):
+        raw = self.MALFORMED[knob.name]
+        proc = _cli("run", "fig02", "--scale", "0.05", env={knob.env: raw})
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        [line] = proc.stderr.splitlines()
+        assert line.startswith(f"error: invalid {knob.env}={raw!r}: ")
+
+    def test_explicit_flag_beats_malformed_env(self):
+        proc = _cli("run", "fig02", "--scale", "0.05", "--workers", "1",
+                    env={"REPRO_WORKERS": "8x"})
+        assert proc.returncode == 0, proc.stderr
+        assert "[fig02] completed" in proc.stdout
 
     def test_scale_too_small_for_a_panel(self):
         proc = _cli("run", "all", "--scale", "0.01")

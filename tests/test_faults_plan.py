@@ -7,10 +7,11 @@ What this file pins:
   asked for chaos must never silently get a fault-free run);
 * directive matching is a pure function of ``(shard, attempt)`` /
   append index, with first-attempt defaults and ``attempt=*``;
-* plan activation: the env variable is read lazily and once, a
-  :func:`fault_plan` scope overrides it (including a ``None`` scope
-  masking it), and entering a scope resets the global shard counter so
-  directives address shards counted from the scope's start;
+* plan activation: a :func:`fault_plan` scope overrides the env plan
+  (including a ``None`` scope masking it; the env contract itself is
+  the knob table's, pinned in ``tests/test_config.py``), and entering
+  a scope resets the global shard counter so directives address shards
+  counted from the scope's start;
 * plans are picklable values — they must ride to pool workers inside
   task arguments.
 """
@@ -34,10 +35,8 @@ from repro.faults import (
 
 
 @pytest.fixture(autouse=True)
-def _clean_fault_state(monkeypatch):
-    """No test may see another's env plan or shard numbering."""
-    monkeypatch.delenv("REPRO_FAULTS", raising=False)
-    monkeypatch.setattr(faults, "_SESSION_PLAN", None)
+def _clean_fault_state():
+    """No test may see another's shard numbering."""
     reset_shard_counter()
     yield
     reset_shard_counter()
@@ -113,25 +112,6 @@ class TestGrammarRejections:
 class TestActivation:
     def test_no_plan_by_default(self):
         assert faults.active_plan() is None
-
-    def test_env_plan_parsed_lazily_and_once(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULTS", "kill:shard=2")
-        plan = faults.active_plan()
-        assert plan is not None and plan.shard_fault(2, 1) is not None
-        # A later env change is invisible: the session plan is cached.
-        monkeypatch.setenv("REPRO_FAULTS", "kill:shard=9")
-        assert faults.active_plan() is plan
-
-    def test_invalid_env_names_the_variable(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULTS", "explode")
-        with pytest.raises(ParameterError, match="REPRO_FAULTS"):
-            faults.active_plan()
-
-    def test_context_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULTS", "kill:shard=2")
-        with fault_plan("delay:shard=0:seconds=1") as plan:
-            assert faults.active_plan() is plan
-        assert faults.active_plan().shard_fault(2, 1) is not None
 
     def test_none_context_masks_env_plan(self, monkeypatch):
         """How fault-free reference runs happen inside a chaos session."""

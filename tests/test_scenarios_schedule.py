@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 import repro.faults as faults
 import repro.obs as obs
-import repro.parallel.executor as executor
 from repro.errors import ParameterError
 from repro.faults import fault_plan
 from repro.parallel import (
@@ -56,11 +55,7 @@ RETRY = RetryPolicy(max_attempts=2, backoff_base=0.01)
 
 
 @pytest.fixture(autouse=True)
-def _clean_session_state(monkeypatch):
-    monkeypatch.delenv("REPRO_FAULTS", raising=False)
-    monkeypatch.delenv("REPRO_SCHEDULE", raising=False)
-    monkeypatch.setattr(faults, "_SESSION_PLAN", None)
-    monkeypatch.setattr(executor, "_DEFAULT_SCHEDULE", None)
+def _clean_session_state():
     faults.reset_shard_counter()
     yield
     faults.reset_shard_counter()
@@ -128,33 +123,6 @@ def _store_bytes(summary):
 
 # ------------------------------------------------------------ session knob
 class TestScheduleKnob:
-    def test_env_unset_means_auto(self):
-        assert get_default_schedule() == "auto"
-        assert resolve_schedule(None) == "auto"
-
-    def test_env_value_is_normalised(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCHEDULE", "  CELLS ")
-        monkeypatch.setattr(executor, "_DEFAULT_SCHEDULE", None)
-        assert get_default_schedule() == "cells"
-
-    def test_env_empty_means_auto(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCHEDULE", "")
-        monkeypatch.setattr(executor, "_DEFAULT_SCHEDULE", None)
-        assert get_default_schedule() == "auto"
-
-    def test_malformed_env_names_the_variable(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCHEDULE", "cell")
-        monkeypatch.setattr(executor, "_DEFAULT_SCHEDULE", None)
-        with pytest.raises(ParameterError, match="REPRO_SCHEDULE"):
-            resolve_schedule(None)
-
-    def test_explicit_mode_wins_over_malformed_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCHEDULE", "bogus")
-        monkeypatch.setattr(executor, "_DEFAULT_SCHEDULE", None)
-        assert resolve_schedule("ensembles") == "ensembles"
-        with default_schedule("cells"):
-            assert resolve_schedule(None) == "cells"
-
     def test_invalid_mode_rejected(self):
         with pytest.raises(ParameterError, match="schedule"):
             resolve_schedule("rows")
